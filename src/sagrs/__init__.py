@@ -50,7 +50,6 @@ from .surrogate import (
     fit_lsm,
     fit_or_fallback,
     fit_rbf,
-    predict,
 )
 
 __all__ = [
@@ -87,7 +86,6 @@ __all__ = [
     "ga_baseline_shape",
     "init_population",
     "make_objective",
-    "predict",
     "run_compare",
     "run_experiment",
     "run_ga_baseline",

@@ -21,8 +21,6 @@ from pathlib import Path
 
 from .evolution import GaConfig
 from .harness import (
-    COMPARE_CYCLES,
-    COMPARE_POOL_SIZE,
     SYSTEMS,
     ExperimentSpec,
     aggregate_rows,
@@ -30,12 +28,20 @@ from .harness import (
     read_runs_csv,
     run_compare,
     run_experiment,
+    summarize,
 )
 from .objectives import OBJECTIVE_NAMES
 
 SWEEP_RATES = (1, 2, 4, 8, 16, 32, 64)
 SWEEP_SUGGESTIONS = (1, 2, 3, 4, 5, 6, 7, 8)
 SWEEP_CYCLES = (10, 25, 50, 75, 100, 150)
+
+# the grid axes each sweep subcommand fixes
+_SWEEP_AXES = {
+    "sweep-rates": {"rates": SWEEP_RATES, "pool_handling": ("reset", "no_reset")},
+    "sweep-suggestions": {"suggestions": SWEEP_SUGGESTIONS},
+    "sweep-cycles": {"cycles": SWEEP_CYCLES},
+}
 
 # flat config-file keys for the GA engine
 _GA_KEYS = {
@@ -49,14 +55,15 @@ _GA_KEYS = {
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    # each dest is the keyword ExperimentSpec and run_compare take
     parser.add_argument("--objective", choices=OBJECTIVE_NAMES)
-    parser.add_argument("--dimension", type=int, default=None)
-    parser.add_argument("--pool-size", type=int, default=None)
-    parser.add_argument("--reps", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--ga-pop", type=int, default=None, help="GA population size")
+    parser.add_argument("--dimension", type=int)
+    parser.add_argument("--pool-size", type=int)
+    parser.add_argument("--reps", dest="repetitions", type=int)
+    parser.add_argument("--seed", dest="base_seed", type=int)
+    parser.add_argument("--out", dest="out_dir", type=Path)
+    parser.add_argument("--jobs", type=int)
+    parser.add_argument("--ga-pop", type=int, help="GA population size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,28 +71,32 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment from flags or a config file")
+    def add_command(name: str, helptext: str) -> argparse.ArgumentParser:
+        # An unset flag stays out of the namespace, so the library default applies.
+        return sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
+
+    run_p = add_command("run", "run one experiment from flags or a config file")
     _add_common_flags(run_p)
     run_p.add_argument("--config", type=Path, help="JSON file with flat experiment settings")
     run_p.add_argument("--system", choices=SYSTEMS)
-    run_p.add_argument("--rate", type=int, nargs="+", default=None)
-    run_p.add_argument("--suggestions", type=int, nargs="+", default=None)
-    run_p.add_argument("--cycles", type=int, nargs="+", default=None)
-    run_p.add_argument("--pool-handling", choices=("reset", "no_reset"), nargs="+", default=None)
-    run_p.add_argument("--window", type=int, default=None, help="surrogate training window")
+    run_p.add_argument("--rate", dest="rates", type=int, nargs="+")
+    run_p.add_argument("--suggestions", type=int, nargs="+")
+    run_p.add_argument("--cycles", type=int, nargs="+")
+    run_p.add_argument("--pool-handling", choices=("reset", "no_reset"), nargs="+")
+    run_p.add_argument("--window", dest="training_window", type=int, help="surrogate training window")
 
     for name, helptext in (
         ("sweep-rates", "evaluation rates x pool handling"),
         ("sweep-suggestions", "suggestions per cycle"),
         ("sweep-cycles", "recommendation cycle counts"),
     ):
-        sweep_p = sub.add_parser(name, help=f"preset sweep over {helptext}")
+        sweep_p = add_command(name, f"preset sweep over {helptext}")
         _add_common_flags(sweep_p)
         sweep_p.add_argument("--system", choices=SYSTEMS, default="sagrs-lsm")
 
-    compare_p = sub.add_parser("compare", help="all five systems on one objective")
+    compare_p = add_command("compare", "all five systems on one objective")
     _add_common_flags(compare_p)
-    compare_p.add_argument("--cycles", type=int, default=COMPARE_CYCLES)
+    compare_p.add_argument("--cycles", type=int)
 
     stats_p = sub.add_parser("stats", help="aggregate an existing runs.csv")
     stats_p.add_argument("csv", type=Path)
@@ -93,104 +104,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_run_args(args, parser) -> ExperimentSpec:
-    settings: dict = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            settings.update(json.load(fh))
-    ga_kwargs = {field: settings.pop(key) for key, field in _GA_KEYS.items() if key in settings}
-    if args.ga_pop is not None:
-        ga_kwargs["population_size"] = args.ga_pop
+def _library_kwargs(flags: dict, command: str, parser) -> dict:
+    """Keyword arguments for ExperimentSpec or run_compare.
 
-    overrides = {
-        "objective": args.objective,
-        "system": args.system,
-        "dimension": args.dimension,
-        "rates": args.rate,
-        "suggestions": args.suggestions,
-        "cycles": args.cycles,
-        "pool_handling": args.pool_handling,
-        "pool_size": args.pool_size,
-        "repetitions": args.reps,
-        "base_seed": args.seed,
-        "out_dir": args.out,
-        "training_window": args.window,
-        "jobs": args.jobs,
-    }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-    if "objective" not in settings or "system" not in settings:
-        parser.error("run needs --objective and --system (or a config file providing them)")
+    Only the flags the user set are passed, over the config file's settings
+    for run. Raises OSError, TypeError or ValueError on bad input.
+    """
+    ga_pop = flags.pop("ga_pop", None)
+    config = flags.pop("config", None)
+    settings = flags
+    if config is not None:
+        with open(config) as fh:
+            settings = {**json.load(fh), **flags}
+    ga_kwargs = {field: settings.pop(key) for key, field in _GA_KEYS.items() if key in settings}
+    if ga_pop is not None:
+        ga_kwargs["population_size"] = ga_pop
     if ga_kwargs:
         settings["ga"] = GaConfig(**ga_kwargs)
-    try:
-        return ExperimentSpec(**settings)
-    except (TypeError, ValueError) as exc:
-        parser.error(str(exc))
-
-
-def _sweep_spec(args, parser, command: str) -> ExperimentSpec:
-    if args.objective is None:
+    if command == "run" and not {"objective", "system"} <= settings.keys():
+        parser.error("run needs --objective and --system (or a config file providing them)")
+    if "objective" not in settings:
         parser.error(f"{command} needs --objective")
-    kwargs = dict(
-        objective=args.objective,
-        system=args.system,
-        dimension=args.dimension or 2,
-        pool_size=args.pool_size or 100,
-        repetitions=args.reps or 10,
-        base_seed=args.seed or 0,
-        out_dir=args.out or default_out_dir() / f"{command}_{args.system}_{args.objective}",
-        jobs=args.jobs or 1,
-    )
-    if args.ga_pop is not None:
-        kwargs["ga"] = GaConfig(population_size=args.ga_pop)
-    if command == "sweep-rates":
-        kwargs.update(rates=SWEEP_RATES, pool_handling=("reset", "no_reset"))
-    elif command == "sweep-suggestions":
-        kwargs.update(suggestions=SWEEP_SUGGESTIONS)
-    else:
-        kwargs.update(cycles=SWEEP_CYCLES)
-    return ExperimentSpec(**kwargs)
+    if command in _SWEEP_AXES:
+        settings.setdefault(
+            "out_dir", default_out_dir() / f"{command}_{settings['system']}_{settings['objective']}")
+        settings.update(_SWEEP_AXES[command])
+    return settings
 
 
 def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))  # only the flags the user set
+    command = flags.pop("command")
 
-    if args.command == "run":
-        result = run_experiment(_spec_from_run_args(args, parser))
-    elif args.command in ("sweep-rates", "sweep-suggestions", "sweep-cycles"):
-        result = run_experiment(_sweep_spec(args, parser, args.command))
-    elif args.command == "compare":
-        if args.objective is None:
-            parser.error("compare needs --objective")
-        comparison = run_compare(
-            objective=args.objective,
-            dimension=args.dimension or 2,
-            repetitions=args.reps or 10,
-            base_seed=args.seed or 0,
-            out_dir=args.out,
-            cycles=args.cycles,
-            pool_size=args.pool_size or COMPARE_POOL_SIZE,
-            ga=GaConfig(population_size=args.ga_pop) if args.ga_pop else None,
-            jobs=args.jobs or 1,
-        )
-        for system in SYSTEMS:
-            rows = comparison.rows_by_system[system]
-            fits = [r["best_fitness"] for r in rows if r["best_fitness"] is not None]
-            if fits:
-                print(f"{system:12s} median best fitness {sorted(fits)[len(fits) // 2]:.6g} "
-                      f"over {len(fits)} runs")
-        result = comparison.result
-    elif args.command == "stats":
-        if not args.csv.exists():
-            print(f"no such file: {args.csv}", file=sys.stderr)
+    if command == "stats":
+        path = flags["csv"]
+        if not path.exists():
+            print(f"no such file: {path}", file=sys.stderr)
             return 1
-        rows = [r for r in read_runs_csv(args.csv) if r["best_fitness"] is not None]
+        try:
+            rows = read_runs_csv(path)
+        except ValueError as exc:
+            parser.error(str(exc))
+        rows = [r for r in rows if r["best_fitness"] is not None]
         json.dump(aggregate_rows(rows), sys.stdout, indent=2, sort_keys=True)
         print()
         return 0
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command!r}")
+
+    try:
+        kwargs = _library_kwargs(flags, command, parser)
+        spec = None if command == "compare" else ExperimentSpec(**kwargs)
+    except (OSError, TypeError, ValueError) as exc:
+        parser.error(str(exc))
+
+    if spec is not None:
+        result = run_experiment(spec)
+    else:
+        try:
+            # run_compare checks every argument before its first run starts
+            comparison = run_compare(**kwargs)
+        except ValueError as exc:
+            parser.error(str(exc))
+        for system in SYSTEMS:
+            fits = [f for f in comparison.best_fitness(system) if f is not None]
+            if fits:
+                print(f"{system:12s} median best fitness {summarize(fits).median:.6g} "
+                      f"over {len(fits)} runs")
+        result = comparison.result
 
     for run_id, message in result.failures:
         print(f"FAILED {run_id}: {message}", file=sys.stderr)

@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, objectives
 from .baselines import run_ga_baseline, run_random_recommender
 from .evolution import GaConfig
-from .objectives import OBJECTIVE_NAMES, make_objective
+from .objectives import make_objective
 from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
 
 SYSTEMS = ("sagrs-lsm", "sagrs-rbf", "ga", "random-lsm", "random-rbf")
@@ -105,8 +105,10 @@ class ExperimentSpec:
         self.cycles = tuple(self.cycles)
         self.pool_handling = tuple(self.pool_handling)
         self.out_dir = Path(self.out_dir)
-        if self.objective not in OBJECTIVE_NAMES:
-            raise ValueError(f"unknown objective {self.objective!r}; choose from {OBJECTIVE_NAMES}")
+        # Rejects an unknown objective or a dimension it does not support.
+        # Called through the module: the harness's own make_objective is the
+        # name runs resolve, and perfbench swaps it for one that logs a run.
+        objectives.make_objective(self.objective, self.dimension)
         if self.system not in SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}; choose from {SYSTEMS}")
         if self.repetitions < 1:
@@ -164,22 +166,8 @@ def _build_jobs(spec: ExperimentSpec) -> list[dict]:
 
 def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
     """Run one job; returns (summary row, cycle rows, error message or None)."""
-    row = {
-        "run_id": job["run_id"],
-        "system": job["system"],
-        "objective": job["objective"],
-        "dimension": job["dimension"],
-        "rate": job["rate"],
-        "suggestions": job["suggestions"],
-        "cycles": job["cycles"],
-        "pool_handling": job["pool_handling"],
-        "pool_size": job["pool_size"],
-        "seed": job["seed"],
-        "best_fitness": None,
-        "convergence_cycle": None,
-        "acceptance_rate": None,
-        "true_evals": None,
-    }
+    # run coordinates come from the job; metric cells stay empty until set
+    row = {column: job.get(column) for column in RUN_CSV_COLUMNS}
     cycle_rows: list[dict] = []
     try:
         obj = make_objective(job["objective"], job["dimension"])
@@ -283,9 +271,9 @@ def aggregate_rows(run_rows: list[dict]) -> list[dict]:
     return summaries
 
 
-def _metadata(extra: dict | None = None) -> dict:
+def _metadata(extra: dict) -> dict:
     """Everything the numbers depend on that is not in the row schema."""
-    meta = {
+    return {
         "package_version": __version__,
         "quartile_method": "linear interpolation between closest ranks",
         "seed_derivation": "base_seed XOR first 8 bytes of sha256 over the run coordinates",
@@ -306,59 +294,40 @@ def _metadata(extra: dict | None = None) -> dict:
         "ackley_domain": [-15.0, 30.0],
         "objective_domains": {"bohachevsky": [-100.0, 100.0], "ackley": [-15.0, 30.0],
                               "schwefel": [-500.0, 500.0]},
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
-def _write_outputs(out_dir: Path, run_rows, cycle_rows, metadata: dict) -> ExperimentResult:
+def _run_batch(jobs: list[dict], n_workers: int, out_dir: Path, metadata: dict) -> ExperimentResult:
+    """Run the jobs and persist the artifact set; metadata extends _metadata().
+
+    A failed run keeps its row, with empty metric cells, and is listed in
+    the result's failures; the batch goes on.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
+    if not os.access(out_dir, os.W_OK):
+        raise OSError(f"output directory {out_dir} is not writable")
+    outcomes = _run_jobs(jobs, n_workers)
+    run_rows = [row for row, _, _ in outcomes]
+    cycle_rows = [cr for _, rows, _ in outcomes for cr in rows]
     summaries = aggregate_rows([r for r in run_rows if r["best_fitness"] is not None])
     _write_csv(out_dir / "runs.csv", RUN_CSV_COLUMNS, run_rows)
     _write_csv(out_dir / "cycles.csv", CYCLE_CSV_COLUMNS, cycle_rows)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summaries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "metadata.json", "w") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, payload in (("summary.json", summaries), ("metadata.json", _metadata(metadata))):
+        with open(out_dir / name, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return ExperimentResult(
         run_rows=run_rows, cycle_rows=cycle_rows, summaries=summaries,
-        failures=[], out_dir=out_dir,
+        failures=[(row["run_id"], err) for row, _, err in outcomes if err is not None],
+        out_dir=out_dir,
     )
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the whole sweep grid x repetitions and persist the artifact set."""
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    if not os.access(spec.out_dir, os.W_OK):
-        raise OSError(f"output directory {spec.out_dir} is not writable")
-    jobs = _build_jobs(spec)
-    outcomes = _run_jobs(jobs, spec.jobs)
-    run_rows = [row for row, _, _ in outcomes]
-    cycle_rows = [cr for _, rows, _ in outcomes for cr in rows]
-    failures = [(row["run_id"], err) for row, _, err in outcomes if err is not None]
-    metadata = _metadata({
-        "spec": {
-            "objective": spec.objective,
-            "system": spec.system,
-            "dimension": spec.dimension,
-            "rates": list(spec.rates),
-            "suggestions": list(spec.suggestions),
-            "cycles": list(spec.cycles),
-            "pool_handling": list(spec.pool_handling),
-            "pool_size": spec.pool_size,
-            "repetitions": spec.repetitions,
-            "base_seed": spec.base_seed,
-            "exclusion_epsilon": spec.exclusion_epsilon,
-            "training_window": spec.training_window,
-            "ga": asdict(spec.ga),
-        },
-    })
-    result = _write_outputs(spec.out_dir, run_rows, cycle_rows, metadata)
-    result.failures = failures
-    return result
+    settings = {k: v for k, v in asdict(spec).items() if k not in ("out_dir", "jobs")}
+    return _run_batch(_build_jobs(spec), spec.jobs, spec.out_dir, {"spec": settings})
 
 
 # Per-objective settings for the five-system comparison. Rates and pool
@@ -374,9 +343,6 @@ COMPARE_PRESETS: dict[tuple[str, str], dict] = {
     ("schwefel", "lsm"): {"rate": 1, "suggestions": 8, "pool_handling": "reset"},
     ("schwefel", "rbf"): {"rate": 1, "suggestions": 8, "pool_handling": "reset"},
 }
-
-COMPARE_CYCLES = 100
-COMPARE_POOL_SIZE = 100
 
 
 @dataclass
@@ -401,34 +367,35 @@ def run_compare(
     repetitions: int = 10,
     base_seed: int = 0,
     out_dir: Path | None = None,
-    cycles: int = COMPARE_CYCLES,
-    pool_size: int = COMPARE_POOL_SIZE,
+    cycles: int = 100,
+    pool_size: int = 100,
     ga: GaConfig | None = None,
     jobs: int = 1,
 ) -> ComparisonResult:
     """Run all five systems on one objective with budget-matched settings.
 
     The plain GA gets the largest budget any recommender configuration uses,
-    pool_size + cycles * suggestions.
+    pool_size + cycles * suggestions. Bad settings raise ValueError before
+    the first run starts.
     """
     ga = ga if ga is not None else GaConfig()
     out_dir = Path(out_dir) if out_dir is not None else default_out_dir() / f"compare_{objective}"
     lsm = COMPARE_PRESETS[(objective, "lsm")]
     rbf = COMPARE_PRESETS[(objective, "rbf")]
-    ga_budget = pool_size + cycles * max(lsm["suggestions"], rbf["suggestions"])
+    suggestions = max(lsm["suggestions"], rbf["suggestions"])
+    ga_budget = pool_size + cycles * suggestions
 
-    jobs_list: list[dict] = []
     system_settings = {
         "sagrs-lsm": lsm,
         "sagrs-rbf": rbf,
         "random-lsm": {**lsm, "rate": 0, "pool_handling": "reset"},
         "random-rbf": {**rbf, "rate": 0, "pool_handling": "reset"},
-        "ga": {"rate": 0, "suggestions": max(lsm["suggestions"], rbf["suggestions"]),
-               "pool_handling": "reset"},
+        "ga": {"rate": 0, "suggestions": suggestions, "pool_handling": "reset"},
     }
+    jobs_list: list[dict] = []
     for system in SYSTEMS:
         settings = system_settings[system]
-        spec = ExperimentSpec(
+        jobs_list.extend(_build_jobs(ExperimentSpec(
             objective=objective,
             system=system,
             dimension=dimension,
@@ -439,17 +406,11 @@ def run_compare(
             pool_size=pool_size,
             repetitions=repetitions,
             base_seed=base_seed,
-            out_dir=out_dir,
             ga=ga,
             jobs=jobs,
-        )
-        jobs_list.extend(_build_jobs(spec))
+        )))
 
-    outcomes = _run_jobs(jobs_list, jobs)
-    run_rows = [row for row, _, _ in outcomes]
-    cycle_rows = [cr for _, rows, _ in outcomes for cr in rows]
-    failures = [(row["run_id"], err) for row, _, err in outcomes if err is not None]
-    metadata = _metadata({
+    result = _run_batch(jobs_list, jobs, out_dir, {
         "comparison": {
             "objective": objective,
             "dimension": dimension,
@@ -462,20 +423,25 @@ def run_compare(
             "ga": asdict(ga),
         },
     })
-    result = _write_outputs(out_dir, run_rows, cycle_rows, metadata)
-    result.failures = failures
-    rows_by_system = {system: [r for r in run_rows if r["system"] == system] for system in SYSTEMS}
+    rows_by_system = {system: [r for r in result.run_rows if r["system"] == system] for system in SYSTEMS}
     return ComparisonResult(rows_by_system=rows_by_system, ga_budget=ga_budget, result=result)
 
 
 def read_runs_csv(path: Path) -> list[dict]:
-    """Read a runs.csv back into typed rows (inverse of the writer)."""
+    """Read a runs.csv back into typed rows (inverse of the writer).
+
+    Raises ValueError when the file lacks a runs.csv column.
+    """
     int_cols = {"dimension", "rate", "suggestions", "cycles", "pool_size", "seed",
                 "convergence_cycle", "true_evals"}
     float_cols = {"best_fitness", "acceptance_rate"}
     rows = []
     with open(path, newline="") as fh:
-        for raw in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in RUN_CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} is not a runs.csv: no column {', '.join(missing)}")
+        for raw in reader:
             row = {}
             for key, text in raw.items():
                 if text == "":

@@ -1,4 +1,4 @@
-"""Small dense real-matrix kernel: multiply, transpose, solve.
+"""Dense linear solve with an explicit singularity check.
 
 Matrices are 2-D float64 numpy arrays. The solver is an LU solve with
 partial pivoting and an explicit singularity check, because both surrogate
@@ -21,25 +21,11 @@ class SingularMatrixError(ValueError):
     """Raised when a linear system has no reliable solution."""
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_matrix(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must be 2-D with at least one row and column, got shape {m.shape}")
     return m
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product a @ b; raises ValueError on inner-dimension mismatch."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    a = _as_matrix(a)
-    return a.T.copy()
 
 
 def solve(a, b) -> np.ndarray:

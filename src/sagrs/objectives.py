@@ -79,9 +79,6 @@ class Objective:
         """True fitness of a point; lower is better."""
         return self.fn(self._check_point(point))
 
-    def clip_to_bounds(self, point) -> np.ndarray:
-        return np.clip(self._check_point(point), self.lower, self.upper)
-
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. uniform points over the box, shape (n, dimension)."""
         if n < 0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .linalg import SingularMatrixError, mat_mul, solve, transpose
+from .linalg import SingularMatrixError, solve
 
 MODEL_KINDS = ("lsm", "rbf")
 
@@ -43,10 +43,6 @@ class Item:
 
     point: np.ndarray
     fitness: float | None = None
-
-    @property
-    def evaluated(self) -> bool:
-        return self.fitness is not None
 
 
 class EvaluatedPool:
@@ -198,16 +194,14 @@ def fit_lsm(pool: EvaluatedPool) -> LsmModel:
     pts = pool.points()
     x_mat = np.hstack([np.ones((n, 1)), pts, pts * pts])
     y = pool.fitnesses().reshape(n, 1)
-    xt = transpose(x_mat)
+    # A contiguous copy: x_mat.T @ x_mat is computed differently and its
+    # bits differ, which would change every LSM run's output.
+    xt = x_mat.T.copy()
     try:
-        theta = solve(mat_mul(xt, x_mat), mat_mul(xt, y))
+        theta = solve(xt @ x_mat, xt @ y)
     except SingularMatrixError as exc:
         raise SurrogateFitError(f"normal equations are singular: {exc}") from exc
     return LsmModel(theta=theta.ravel())
-
-
-def predict_lsm(model: LsmModel, point) -> float:
-    return model.predict(point)
 
 
 def compute_sigma(pool: EvaluatedPool) -> float:
@@ -244,10 +238,6 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     return RbfModel(centers=pts.copy(), weights=weights.ravel(), sigma=sigma, ridge=ridge)
 
 
-def predict_rbf(model: RbfModel, point) -> float:
-    return model.predict(point)
-
-
 def fit(kind: str, pool: EvaluatedPool) -> MetaModel:
     """Fit the surrogate named by kind ('lsm' or 'rbf')."""
     if kind == "lsm":
@@ -257,18 +247,12 @@ def fit(kind: str, pool: EvaluatedPool) -> MetaModel:
     raise ValueError(f"unknown meta-model kind {kind!r}; choose from {MODEL_KINDS}")
 
 
-def predict(model: MetaModel, point) -> float:
-    return model.predict(point)
-
-
 def fit_or_fallback(kind: str, pool: EvaluatedPool) -> tuple[MetaModel, bool]:
     """Fit the requested surrogate, degrading to a mean predictor on failure.
 
     Returns (model, fit_ok); the fallback keeps the recommendation loop
     alive through its earliest cycles and degenerate pools.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown meta-model kind {kind!r}; choose from {MODEL_KINDS}")
     try:
         return fit(kind, pool), True
     except SurrogateFitError:

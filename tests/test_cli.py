@@ -109,3 +109,38 @@ def test_failed_runs_exit_one(tmp_path):
                      "--out", str(tmp_path / "f"), "--pool-size", "4", "--reps", "1",
                      "--cycles", "2", "--suggestions", "1", "--ga-pop", "10"])
     assert code == 1  # pool_size 4 < 2d+1 fails config validation per run
+
+
+def test_compare_prints_summary_median(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    # an even rep count, where the median averages the two middle values
+    assert cli_main(["compare", "--objective", "ackley", "--seed", "7", "--out", str(out),
+                     "--reps", "4", "--cycles", "3", "--pool-size", "8", "--ga-pop", "10"]) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        if "median best fitness" in line:
+            system, _, _, _, median = line.split()[:5]
+            printed[system] = median
+    summary = json.loads((out / "summary.json").read_text())
+    assert printed == {e["system"]: f"{e['metrics']['best_fitness']['median']:.6g}" for e in summary}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-cycles", "--objective", "ackley", "--ga-pop", "0", "--out", "{out}"], "population_size"),
+    (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--dimension", "0",
+      "--out", "{out}", *TINY], "dimension"),
+    (["sweep-cycles", "--objective", "ackley", "--reps", "0", "--pool-size", "0",
+      "--out", "{out}"], "repetitions"),
+    (["compare", "--objective", "ackley", "--reps", "0", "--cycles", "3", "--pool-size", "8",
+      "--ga-pop", "10", "--out", "{out}"], "repetitions"),
+    (["stats", "{foreign_csv}"], "not a runs.csv"),
+], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv"])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
+    foreign_csv = tmp_path / "cycles.csv"
+    foreign_csv.write_text("run_id,cycle\nx,1\n")
+    argv = [a.format(out=tmp_path / "out", foreign_csv=foreign_csv) for a in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any run started

@@ -11,6 +11,7 @@ from sagrs.harness import (
     aggregate_rows,
     derive_seed,
     read_runs_csv,
+    run_compare,
     run_experiment,
     summarize,
 )
@@ -167,6 +168,16 @@ def test_parallel_jobs_match_serial_bytes(tmp_path):
     run_experiment(tiny_spec(tmp_path / "serial", repetitions=4, jobs=1))
     run_experiment(tiny_spec(tmp_path / "parallel", repetitions=4, jobs=2))
     for fname in ("runs.csv", "cycles.csv", "summary.json"):
+        assert (tmp_path / "serial" / fname).read_bytes() == (tmp_path / "parallel" / fname).read_bytes()
+
+
+def test_compare_rerun_in_parallel_matches_bytes(tmp_path):
+    from sagrs.evolution import GaConfig
+
+    for name, jobs in (("serial", 1), ("parallel", 2)):
+        run_compare("ackley", repetitions=2, cycles=3, pool_size=8, base_seed=4,
+                    ga=GaConfig(population_size=10), out_dir=tmp_path / name, jobs=jobs)
+    for fname in ("runs.csv", "cycles.csv", "summary.json", "metadata.json"):
         assert (tmp_path / "serial" / fname).read_bytes() == (tmp_path / "parallel" / fname).read_bytes()
 
 

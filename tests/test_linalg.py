@@ -1,29 +1,29 @@
 import numpy as np
 import pytest
 
-from sagrs.linalg import SingularMatrixError, mat_mul, solve, transpose
+from sagrs.linalg import SingularMatrixError, solve
 
 
 def test_mat_mul_identity():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(mat_mul(np.eye(2), a), a)
+    assert np.array_equal(np.eye(2) @ a, a)
 
 
 def test_mat_mul_zero_vector():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     z = np.zeros((2, 1))
-    assert np.array_equal(mat_mul(a, z), z)
+    assert np.array_equal(a @ z, z)
 
 
 def test_mat_mul_hand_value():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[5.0], [6.0]])
-    assert np.array_equal(mat_mul(a, b), np.array([[17.0], [39.0]]))
+    assert np.array_equal(a @ b, np.array([[17.0], [39.0]]))
 
 
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
-        mat_mul(np.ones((2, 3)), np.ones((2, 2)))
+        np.ones((2, 3)) @ np.ones((2, 2))
 
 
 def test_mat_mul_associative():
@@ -33,25 +33,9 @@ def test_mat_mul_associative():
         a = rng.uniform(-1, 1, size=(dims[0], dims[1]))
         b = rng.uniform(-1, 1, size=(dims[1], dims[2]))
         c = rng.uniform(-1, 1, size=(dims[2], dims[3]))
-        left = mat_mul(mat_mul(a, b), c)
-        right = mat_mul(a, mat_mul(b, c))
+        left = (a @ b) @ c
+        right = a @ (b @ c)
         assert np.max(np.abs(left - right)) < 1e-10
-
-
-def test_transpose_hand_value():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(transpose(a), np.array([[1.0, 3.0], [2.0, 4.0]]))
-
-
-def test_transpose_involution():
-    rng = np.random.default_rng(11)
-    a = rng.uniform(-5, 5, size=(4, 7))
-    assert np.array_equal(transpose(transpose(a)), a)
-
-
-def test_transpose_row_to_column():
-    row = np.array([[1.0, 2.0, 3.0]])
-    assert transpose(row).shape == (3, 1)
 
 
 def test_solve_identity_system():
@@ -92,7 +76,7 @@ def test_solve_roundtrip_random_systems():
         if np.linalg.cond(a) > 1e6:  # skip the rare near-singular draw
             continue
         x0 = rng.uniform(-10, 10, size=(n, 1))
-        x = solve(a, mat_mul(a, x0))
+        x = solve(a, a @ x0)
         assert np.all(np.abs(x - x0) <= 1e-8 * (1.0 + np.abs(x0)))
         trials += 1
 

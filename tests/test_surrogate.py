@@ -17,9 +17,6 @@ from sagrs.surrogate import (
     fit_or_fallback,
     fit_rbf,
     gaussian_bump,
-    predict,
-    predict_lsm,
-    predict_rbf,
 )
 
 
@@ -104,11 +101,11 @@ def test_fit_lsm_singular_design():
 
 def test_predict_lsm_hand_values():
     model = LsmModel(theta=np.array([0.7, 0.0, 0.0, 1.0, 2.0]))
-    assert predict_lsm(model, [0.0, 0.0]) == pytest.approx(0.7)
-    assert predict_lsm(model, [1.0, 1.0]) == pytest.approx(3.7)
+    assert model.predict([0.0, 0.0]) == pytest.approx(0.7)
+    assert model.predict([1.0, 1.0]) == pytest.approx(3.7)
     linear = LsmModel(theta=np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
     for x in (-3.0, 0.5, 11.0):
-        assert predict_lsm(linear, [x, 123.0]) == pytest.approx(x)
+        assert linear.predict([x, 123.0]) == pytest.approx(x)
 
 
 def test_lsm_exactness_on_its_own_model_class():
@@ -121,7 +118,7 @@ def test_lsm_exactness_on_its_own_model_class():
         probes = obj.sample_uniform(rng, 100)
         for p in probes:
             want = float(coeffs @ design_row(p))
-            assert predict_lsm(model, p) == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
+            assert model.predict(p) == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
 
 
 def test_lsm_residual_local_optimality():
@@ -225,13 +222,13 @@ def test_predict_rbf_far_field_limit():
     model = fit_rbf(pool)
     total = float(np.sum(model.weights))
     far = np.array([100.0 * model.sigma, 100.0 * model.sigma])
-    assert abs(predict_rbf(model, far) - total) <= 1e-3 * abs(total)
+    assert abs(model.predict(far) - total) <= 1e-3 * abs(total)
 
 
 def test_predict_rbf_zero_weights():
     model = fit_rbf(pool_from([(0.0, 0.0), (1.0, 1.0)], [0.0, 0.0]))
     assert np.allclose(model.weights, 0.0)
-    assert predict_rbf(model, [0.3, 0.9]) == 0.0
+    assert model.predict([0.3, 0.9]) == 0.0
 
 
 # ---------------------------------------------------------------- dispatch
@@ -247,7 +244,7 @@ def test_fit_dispatch_rbf_interpolates():
     pool = pool_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1.0, 2.0, 3.0])
     model = fit("rbf", pool)
     for item in pool.items:
-        assert predict(model, item.point) == pytest.approx(item.fitness, abs=1e-6)
+        assert model.predict(item.point) == pytest.approx(item.fitness, abs=1e-6)
 
 
 def test_fit_unknown_kind():
