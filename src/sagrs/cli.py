@@ -28,7 +28,6 @@ from .harness import (
     read_runs_csv,
     run_compare,
     run_experiment,
-    summarize,
 )
 from .objectives import OBJECTIVE_NAMES
 
@@ -166,10 +165,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         for system in SYSTEMS:
-            fits = [f for f in comparison.best_fitness(system) if f is not None]
-            if fits:
-                print(f"{system:12s} median best fitness {summarize(fits).median:.6g} "
-                      f"over {len(fits)} runs")
+            finished = sum(f is not None for f in comparison.best_fitness(system))
+            if finished:
+                print(f"{system:12s} median best fitness {comparison.median_best_fitness(system):.6g} "
+                      f"over {finished} runs")
         result = comparison.result
 
     for run_id, message in result.failures:

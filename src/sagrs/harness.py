@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, objectives
 from .baselines import run_ga_baseline, run_random_recommender
@@ -116,6 +117,11 @@ class ExperimentSpec:
         for axis_name in ("rates", "suggestions", "cycles", "pool_handling"):
             if not getattr(self, axis_name):
                 raise ValueError(f"sweep axis {axis_name} must be nonempty")
+        # No system can run these; a negative rate or a pool too small for
+        # the surrogate stays a per-run failure.
+        for axis_name in ("suggestions", "cycles"):
+            if min(getattr(self, axis_name)) < 1:
+                raise ValueError(f"{axis_name} must be >= 1, got {getattr(self, axis_name)}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -271,10 +277,25 @@ def aggregate_rows(run_rows: list[dict]) -> list[dict]:
     return summaries
 
 
+def _blas(library) -> str:
+    """Name and version of the BLAS a numpy or scipy build links."""
+    try:
+        info = library.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 and scipy < 1.11 only print it
+        return "unknown"
+    return f"{info.get('name')} {info.get('version')}"
+
+
 def _metadata(extra: dict) -> dict:
     """Everything the numbers depend on that is not in the row schema."""
     return {
         "package_version": __version__,
+        # LU and matrix-product bits depend on the LAPACK/BLAS build
+        "versions": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": {"numpy": _blas(np), "scipy": _blas(scipy)},
+        },
         "quartile_method": "linear interpolation between closest ranks",
         "seed_derivation": "base_seed XOR first 8 bytes of sha256 over the run coordinates",
         "csv_float_format": "%.17g",
@@ -355,7 +376,8 @@ class ComparisonResult:
         return [row["best_fitness"] for row in self.rows_by_system[system]]
 
     def median_best_fitness(self, system: str) -> float:
-        return summarize(self.best_fitness(system)).median
+        """Median over the system's runs that finished; ValueError if none did."""
+        return summarize([f for f in self.best_fitness(system) if f is not None]).median
 
     def convergence_cycles(self, system: str) -> list[int]:
         return [row["convergence_cycle"] for row in self.rows_by_system[system]]
@@ -378,6 +400,7 @@ def run_compare(
     pool_size + cycles * suggestions. Bad settings raise ValueError before
     the first run starts.
     """
+    objectives.make_objective(objective, dimension)  # ValueError before the preset lookup
     ga = ga if ga is not None else GaConfig()
     out_dir = Path(out_dir) if out_dir is not None else default_out_dir() / f"compare_{objective}"
     lsm = COMPARE_PRESETS[(objective, "lsm")]

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 # A pivot below this fraction of the matrix row scale is treated as zero.
 SINGULARITY_TOL = 1e-12
@@ -53,13 +54,11 @@ def solve(a, b) -> np.ndarray:
         warnings.simplefilter("ignore")
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
 
-    # Recover which original row each pivot came from, so the threshold is
-    # relative to that row's own scale.
-    perm = np.arange(n)
-    for k, p in enumerate(piv):
-        perm[k], perm[p] = perm[p], perm[k]
+    # Apply the factorization's row interchanges to the row scales, so each
+    # pivot is compared with the scale of the original row it came from.
+    pivot_row_scale = scipy.linalg.lapack.dlaswp(row_scale.reshape(n, 1), piv)[:, 0]
     pivots = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or np.any(pivots < SINGULARITY_TOL * row_scale[perm]):
+    if not np.all(np.isfinite(lu)) or np.any(pivots < SINGULARITY_TOL * pivot_row_scale):
         raise SingularMatrixError("matrix is singular or near-singular")
 
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)

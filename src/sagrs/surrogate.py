@@ -5,9 +5,10 @@ Two interchangeable surrogates estimate the fitness of unseen points:
 * ``LsmModel`` -- a second-order polynomial without cross terms,
   y = theta_0 + sum_i theta_i x_i + sum_j theta_{d+j} x_j^2, fit by least
   squares through the normal equations.
-* ``RbfModel`` -- an interpolating radial basis function network with the
+* ``RbfModel`` -- a radial basis function network with the
   minimization-adapted Gaussian phi(r) = 1 - exp(-r^2 / (2 sigma^2)) and
-  the kernel width set to the mean pairwise distance of the pool.
+  the kernel width set to the mean pairwise distance of the pool; it
+  interpolates small pools and carries a ridge on larger ones.
 
 Both expose ``predict(point) -> float``; ``fit(kind, pool)`` dispatches by
 name. ``MeanModel`` is the degenerate fallback used when a fit fails.
@@ -50,6 +51,9 @@ class EvaluatedPool:
 
     Insertion silently drops items within ``eps_dup`` of an existing one,
     keeping the interpolation matrix invertible and the pool a set.
+
+    ``needs_ridge`` turns true once an RBF fit of this pool found the plain
+    activation system singular; later fits go straight to the ridged solve.
     """
 
     def __init__(self, eps_dup: float = DUPLICATE_EPSILON, items: list[Item] | None = None):
@@ -58,6 +62,7 @@ class EvaluatedPool:
         self.eps_dup = eps_dup
         self.items: list[Item] = []
         self._stacked: np.ndarray | None = None
+        self.needs_ridge = False
         for item in items or []:
             self.add(item)
 
@@ -107,6 +112,7 @@ class EvaluatedPool:
         view.eps_dup = self.eps_dup
         view.items = self.items[-n:]
         view._stacked = None
+        view.needs_ridge = False  # a window drops old points, so it tries the plain solve again
         return view
 
 
@@ -212,29 +218,40 @@ def compute_sigma(pool: EvaluatedPool) -> float:
 
 
 def fit_rbf(pool: EvaluatedPool) -> RbfModel:
-    """Fit interpolation weights by solving the activation system.
+    """Fit RBF weights by solving the activation system.
 
-    Retries once with a small diagonal ridge when the plain system is
-    singular; raises SurrogateFitError if that fails too.
+    The plain system interpolates the pool. It is singular for near-duplicate
+    points and, with the wide mean-distance kernel, for every pool of more
+    than roughly 50-75 points, so from there on every fit carries a small
+    diagonal ridge and the model only approximates the pool. A pool whose
+    plain system was singular once is marked and skips the plain attempt
+    afterwards: a pool only grows, and no growing pool was seen to get a
+    solvable plain system back.
+    Raises SurrogateFitError when the ridged system is singular too.
     """
     n = len(pool)
     if n < 2:
         raise SurrogateFitError("RBF interpolation needs at least 2 pool items")
-    sigma = compute_sigma(pool)
     pts = pool.points()
-    phi = gaussian_bump(squareform(pdist(pts)), sigma)
+    dists = pdist(pts)
+    sigma = float(np.mean(dists))  # compute_sigma, without a second pdist
+    phi = squareform(gaussian_bump(dists, sigma))  # bump(0) = 0 on the diagonal
     targets = pool.fitnesses().reshape(n, 1)
+    if not pool.needs_ridge:
+        try:
+            weights = solve(phi, targets)
+        except SingularMatrixError:
+            pool.needs_ridge = True
+        else:
+            return RbfModel(centers=pts.copy(), weights=weights.ravel(), sigma=sigma)
+    # phi has a zero diagonal, so scale the ridge by the mean row mass
+    # instead of the trace; every entry is >= 0, so no abs is needed.
+    ridge = RBF_RIDGE_FACTOR * float(np.sum(phi)) / n
+    phi[np.diag_indices(n)] += ridge
     try:
         weights = solve(phi, targets)
-        ridge = 0.0
-    except SingularMatrixError:
-        # phi has a zero diagonal, so scale the ridge by the mean row mass
-        # instead of the trace.
-        ridge = RBF_RIDGE_FACTOR * float(np.sum(np.abs(phi))) / n
-        try:
-            weights = solve(phi + ridge * np.eye(n), targets)
-        except SingularMatrixError as exc:
-            raise SurrogateFitError(f"activation matrix is singular even with ridge: {exc}") from exc
+    except SingularMatrixError as exc:
+        raise SurrogateFitError(f"activation matrix is singular even with ridge: {exc}") from exc
     return RbfModel(centers=pts.copy(), weights=weights.ravel(), sigma=sigma, ridge=ridge)
 
 

@@ -134,7 +134,14 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     (["compare", "--objective", "ackley", "--reps", "0", "--cycles", "3", "--pool-size", "8",
       "--ga-pop", "10", "--out", "{out}"], "repetitions"),
     (["stats", "{foreign_csv}"], "not a runs.csv"),
-], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv"])
+    (["compare", "--objective", "ackley", "--reps", "1", "--cycles", "0", "--pool-size", "8",
+      "--ga-pop", "10", "--out", "{out}"], "cycles must be >= 1"),
+    (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--out", "{out}", *TINY,
+      "--cycles", "0"], "cycles must be >= 1"),
+    (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--out", "{out}", *TINY,
+      "--suggestions", "2", "0"], "suggestions must be >= 1"),
+], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
+        "compare-cycles-0", "run-cycles-0", "run-suggestions-0"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")

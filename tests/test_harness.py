@@ -7,6 +7,7 @@ import pytest
 from sagrs.harness import (
     CYCLE_CSV_COLUMNS,
     RUN_CSV_COLUMNS,
+    ComparisonResult,
     ExperimentSpec,
     aggregate_rows,
     derive_seed,
@@ -190,6 +191,28 @@ def test_spec_validation():
         ExperimentSpec(objective="ackley", system="ga", repetitions=0)
     with pytest.raises(ValueError):
         ExperimentSpec(objective="ackley", system="ga", rates=())
+
+
+def test_run_compare_unknown_objective_is_value_error(tmp_path):
+    with pytest.raises(ValueError, match="unknown objective"):
+        run_compare("sphere", out_dir=tmp_path / "cmp")
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_median_best_fitness_skips_failed_runs():
+    rows = [{"best_fitness": None}, {"best_fitness": 1.0}, {"best_fitness": 2.0}]
+    comparison = ComparisonResult(rows_by_system={"ga": rows}, ga_budget=0, result=None)
+    assert comparison.median_best_fitness("ga") == 1.5
+
+
+def test_metadata_records_library_versions(tmp_path):
+    import scipy
+
+    run_experiment(tiny_spec(tmp_path / "exp", repetitions=1))
+    versions = json.loads((tmp_path / "exp" / "metadata.json").read_text())["versions"]
+    assert versions["numpy"] == np.__version__
+    assert versions["scipy"] == scipy.__version__
+    assert set(versions["blas"]) == {"numpy", "scipy"}
 
 
 def test_env_var_sets_default_output_directory(tmp_path, monkeypatch):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sagrs.linalg import SingularMatrixError, solve
+from sagrs.linalg import SINGULARITY_TOL, SingularMatrixError, solve
 
 
 def test_mat_mul_identity():
@@ -94,3 +97,52 @@ def test_solve_multiple_right_hand_sides():
     b = rng.uniform(-1, 1, size=(4, 3))
     x = solve(a, b)
     assert np.allclose(a @ x, b, atol=1e-10)
+
+
+def reference_is_singular(a):
+    """solve's singularity test, with the pivot rows traced by a swap loop."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    perm = np.arange(a.shape[0])
+    for k, p in enumerate(piv):
+        perm[k], perm[p] = perm[p], perm[k]
+    row_scale = np.max(np.abs(a), axis=1)
+    pivots = np.abs(np.diag(lu))
+    return not np.all(np.isfinite(lu)) or bool(np.any(pivots < SINGULARITY_TOL * row_scale[perm]))
+
+
+def test_solve_threshold_uses_the_pivot_rows_own_scale():
+    # The tiny row is pivoted second. At its own scale it is independent of
+    # the other row in the first matrix and nearly parallel to it in the second.
+    tiny = 1e-20
+    independent = np.array([[tiny, 2.0 * tiny], [1.0, 0.0]])
+    x = solve(independent, np.array([[3.0 * tiny], [1.0]]))
+    assert np.allclose(x, [[1.0], [1.0]], rtol=1e-12)
+    nearly_parallel = np.array([[tiny, tiny * (1.0 + 1e-15)], [1.0, 1.0]])
+    with pytest.raises(SingularMatrixError):
+        solve(nearly_parallel, np.ones((2, 1)))
+
+
+def test_solve_singularity_matches_swap_loop_reference():
+    # rows of very different scales, some nearly dependent on the others
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        a = rng.uniform(-1, 1, size=(n, n))
+        if rng.random() < 0.7:
+            k = int(rng.integers(0, n))
+            others = [i for i in range(n) if i != k]
+            noise = rng.normal(scale=10.0 ** rng.uniform(-16, -9), size=n)
+            a[k] = rng.uniform(-1, 1, size=n - 1) @ a[others] + noise
+        a *= 10.0 ** rng.uniform(-18, 0, size=(n, 1))
+        expected = reference_is_singular(a)
+        try:
+            solve(a, np.ones((n, 1)))
+            singular = False
+        except SingularMatrixError:
+            singular = True
+        assert singular == expected
+        outcomes.add(singular)
+    assert outcomes == {True, False}

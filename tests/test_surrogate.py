@@ -210,6 +210,47 @@ def test_fit_rbf_interpolates_training_points():
                 assert abs(model.predict(item.point) - item.fitness) <= 1e-6 * scale
 
 
+def test_fit_rbf_sigma_is_compute_sigma_bitwise():
+    rng = np.random.default_rng(41)
+    obj = make_objective("schwefel")
+    for size in (2, 9, 60, 150):
+        pts = obj.sample_uniform(rng, size)
+        pool = pool_from(pts, [obj.evaluate(p) for p in pts])
+        assert fit_rbf(pool).sigma == compute_sigma(pool)
+
+
+def test_flagged_pool_fits_match_fresh_pools_bitwise():
+    # A pool whose plain solve failed skips it from then on; a fresh pool of
+    # the same items tries it first. The growing pool must never miss a fit
+    # that the plain solve would have given.
+    rng = np.random.default_rng(43)
+    obj = make_objective("bohachevsky")
+    pool = EvaluatedPool()
+    while len(pool) < 300:
+        for p in obj.sample_uniform(rng, 100 if len(pool) == 0 else 8):
+            pool.add(Item(p, obj.evaluate(p)))
+        model = fit_rbf(pool)
+        fresh = fit_rbf(EvaluatedPool(items=pool.items))
+        assert pool.needs_ridge  # at 100 points the plain system is already singular
+        assert model.ridge > 0.0
+        assert model.sigma == fresh.sigma
+        assert model.ridge == fresh.ridge
+        assert np.array_equal(model.weights, fresh.weights)
+
+
+def test_tail_view_of_flagged_pool_is_unflagged():
+    rng = np.random.default_rng(47)
+    obj = make_objective("bohachevsky")
+    pts = obj.sample_uniform(rng, 120)
+    pool = pool_from(pts, [obj.evaluate(p) for p in pts])
+    assert fit_rbf(pool).ridge > 0.0 and pool.needs_ridge
+    assert pool.tail(None).needs_ridge
+    window = pool.tail(10)
+    assert not window.needs_ridge
+    assert fit_rbf(window).ridge == 0.0  # a small window interpolates again
+    assert pool.needs_ridge
+
+
 def test_fit_rbf_single_point_fails():
     with pytest.raises(SurrogateFitError):
         fit_rbf(pool_from([(0.0, 0.0)], [1.0]))
