@@ -18,8 +18,6 @@ from .evolution import GaConfig, init_population, score_population, step_generat
 from .objectives import Objective
 from .recommender import RunResult, SagrsConfig, run_sagrs
 
-BASELINE_SYSTEMS = ("ga", "random-lsm", "random-rbf")
-
 
 class BudgetExhaustedError(RuntimeError):
     """Raised on any true evaluation past the allowed budget."""

@@ -145,7 +145,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             rows = read_runs_csv(path)
         except ValueError as exc:
             parser.error(str(exc))
-        rows = [r for r in rows if r["best_fitness"] is not None]
         json.dump(aggregate_rows(rows), sys.stdout, indent=2, sort_keys=True)
         print()
         return 0

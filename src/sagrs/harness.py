@@ -96,7 +96,6 @@ class ExperimentSpec:
     base_seed: int = 0
     out_dir: Path = field(default_factory=default_out_dir)
     ga: GaConfig = field(default_factory=GaConfig)
-    exclusion_epsilon: float = EXCLUSION_EPSILON
     training_window: int | None = None
     jobs: int = 1
 
@@ -114,6 +113,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown system {self.system!r}; choose from {SYSTEMS}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.pool_size < 1:
+            raise ValueError("pool_size must be >= 1")
         for axis_name in ("rates", "suggestions", "cycles", "pool_handling"):
             if not getattr(self, axis_name):
                 raise ValueError(f"sweep axis {axis_name} must be nonempty")
@@ -164,7 +165,6 @@ def _build_jobs(spec: ExperimentSpec) -> list[dict]:
                 "pool_size": spec.pool_size,
                 "seed": seed,
                 "ga": spec.ga,
-                "exclusion_epsilon": spec.exclusion_epsilon,
                 "training_window": spec.training_window,
             })
     return jobs
@@ -198,7 +198,6 @@ def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
                 pool_handling=job["pool_handling"],
                 initial_pool_size=job["pool_size"],
                 ga=job["ga"],
-                exclusion_epsilon=job["exclusion_epsilon"],
                 training_window=job["training_window"],
             )
             if system.startswith("random-"):
@@ -258,9 +257,11 @@ GRID_KEY_COLUMNS = (
 
 
 def aggregate_rows(run_rows: list[dict]) -> list[dict]:
-    """Box-plot statistics per grid point, one entry per metric present."""
+    """Box-plot statistics per grid point over its finished runs, one entry per metric present."""
     groups: dict[tuple, list[dict]] = {}
     for row in run_rows:
+        if row["best_fitness"] is None:
+            continue
         key = tuple(row[c] for c in GRID_KEY_COLUMNS)
         groups.setdefault(key, []).append(row)
     summaries = []
@@ -312,9 +313,8 @@ def _metadata(extra: dict) -> dict:
         "ga_baseline_inert_columns": "rate and pool_handling are empty for the ga system; "
                                      "cycles, suggestions and pool_size set its evaluation budget",
         "random_recommender": "evaluation rate forced to 0 and pool handling to reset",
-        "ackley_domain": [-15.0, 30.0],
-        "objective_domains": {"bohachevsky": [-100.0, 100.0], "ackley": [-15.0, 30.0],
-                              "schwefel": [-500.0, 500.0]},
+        "objective_domains": {name: [lo, hi] for name, (_, lo, hi, _) in objectives._REGISTRY.items()},
+        "exclusion_epsilon": EXCLUSION_EPSILON,
         **extra,
     }
 
@@ -331,7 +331,7 @@ def _run_batch(jobs: list[dict], n_workers: int, out_dir: Path, metadata: dict) 
     outcomes = _run_jobs(jobs, n_workers)
     run_rows = [row for row, _, _ in outcomes]
     cycle_rows = [cr for _, rows, _ in outcomes for cr in rows]
-    summaries = aggregate_rows([r for r in run_rows if r["best_fitness"] is not None])
+    summaries = aggregate_rows(run_rows)
     _write_csv(out_dir / "runs.csv", RUN_CSV_COLUMNS, run_rows)
     _write_csv(out_dir / "cycles.csv", CYCLE_CSV_COLUMNS, cycle_rows)
     for name, payload in (("summary.json", summaries), ("metadata.json", _metadata(metadata))):

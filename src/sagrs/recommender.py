@@ -16,6 +16,7 @@ import numpy as np
 from .evolution import GaConfig, Population, init_population, score_population, step_generation
 from .objectives import Objective
 from .surrogate import (
+    EXCLUSION_EPSILON,
     MODEL_KINDS,
     EvaluatedPool,
     Item,
@@ -24,9 +25,6 @@ from .surrogate import (
 )
 
 POOL_HANDLING_MODES = ("reset", "no_reset")
-
-# Minimum distance between a suggestion and anything already evaluated.
-EXCLUSION_EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,6 @@ class SagrsConfig:
     pool_handling: str = "reset"
     initial_pool_size: int = 100
     ga: GaConfig = field(default_factory=GaConfig)
-    exclusion_epsilon: float = EXCLUSION_EPSILON
     training_window: int | None = None  # None = always train on the whole pool
 
     def __post_init__(self):
@@ -52,8 +49,6 @@ class SagrsConfig:
             raise ValueError("cycles must be >= 1")
         if self.pool_handling not in POOL_HANDLING_MODES:
             raise ValueError(f"pool_handling must be one of {POOL_HANDLING_MODES}, got {self.pool_handling!r}")
-        if self.exclusion_epsilon <= 0:
-            raise ValueError("exclusion_epsilon must be positive")
         if self.training_window is not None and self.training_window < 1:
             raise ValueError("training_window must be >= 1 when set")
 
@@ -117,12 +112,11 @@ def select_suggestions(
     model: MetaModel,
     obj: Objective,
     rng: np.random.Generator,
-    exclusion_epsilon: float = EXCLUSION_EPSILON,
 ) -> list[np.ndarray]:
     """Pick k suggestion points, best predicted fitness first.
 
     Candidates come from the population in ascending surrogate-score order;
-    anything within exclusion_epsilon of a pool item or of an already chosen
+    anything within EXCLUSION_EPSILON of a pool item or of an already chosen
     suggestion is skipped. If the population runs out, the remainder is
     drawn uniformly from the domain under the same exclusion check.
     """
@@ -132,9 +126,9 @@ def select_suggestions(
     chosen: list[np.ndarray] = []
 
     def admissible(point: np.ndarray) -> bool:
-        if pool.min_distance(point) <= exclusion_epsilon:
+        if pool.min_distance(point) <= EXCLUSION_EPSILON:
             return False
-        return all(float(np.linalg.norm(point - c)) > exclusion_epsilon for c in chosen)
+        return all(float(np.linalg.norm(point - c)) > EXCLUSION_EPSILON for c in chosen)
 
     for idx in np.argsort(pop.scores, kind="stable"):
         if len(chosen) == k:
@@ -158,12 +152,12 @@ def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> Run
     cycle and is flagged in the cycle record.
     """
     cfg.validate_for(obj)
-    pool = EvaluatedPool(eps_dup=cfg.exclusion_epsilon)
+    pool = EvaluatedPool()
     evaluations = 0
 
     while len(pool) < cfg.initial_pool_size:
         point = obj.sample_uniform(rng, 1)[0]
-        if pool.min_distance(point) <= cfg.exclusion_epsilon:
+        if pool.min_distance(point) <= EXCLUSION_EPSILON:
             continue  # re-draw instead of double-evaluating the same spot
         pool.add(Item(point=point, fitness=obj.evaluate(point)))
         evaluations += 1
@@ -180,9 +174,7 @@ def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> Run
         for _ in range(cfg.evaluation_rate):
             population = step_generation(population, model.predict, cfg.ga, obj, rng)
 
-        points = select_suggestions(
-            population, pool, cfg.suggestions_per_cycle, model, obj, rng, cfg.exclusion_epsilon
-        )
+        points = select_suggestions(population, pool, cfg.suggestions_per_cycle, model, obj, rng)
         suggested = [Item(point=p, fitness=obj.evaluate(p)) for p in points]
         evaluations += len(suggested)
         accepted = count_accepted(suggested, pool)

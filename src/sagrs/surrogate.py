@@ -12,6 +12,9 @@ Two interchangeable surrogates estimate the fitness of unseen points:
 
 Both expose ``predict(point) -> float``; ``fit(kind, pool)`` dispatches by
 name. ``MeanModel`` is the degenerate fallback used when a fit fails.
+
+``EvaluatedPool`` holds the evaluated points and their fitness as two
+read-only arrays; it is also the exclusion set (see ``EXCLUSION_EPSILON``).
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from .linalg import SingularMatrixError, solve
 
 MODEL_KINDS = ("lsm", "rbf")
 
-# Euclidean distance below which two pool items count as the same point.
-DUPLICATE_EPSILON = 1e-9
+# Euclidean distance at or below which two points count as the same: the
+# pool drops such an insert, and no suggestion comes this close to the pool.
+EXCLUSION_EPSILON = 1e-9
 
 # Relative ridge added to the RBF matrix diagonal when the plain fit is
 # singular (near-duplicate points after boundary clipping).
@@ -47,72 +51,69 @@ class Item:
 
 
 class EvaluatedPool:
-    """Ordered collection of true-evaluated items; also the exclusion set.
+    """Ordered true-evaluated points and their fitness; also the exclusion set.
 
-    Insertion silently drops items within ``eps_dup`` of an existing one,
-    keeping the interpolation matrix invertible and the pool a set.
+    Both are read-only arrays that each insert replaces, so a ``tail`` view
+    never sees later inserts. Insertion silently drops a point within
+    ``EXCLUSION_EPSILON`` of the pool, keeping the interpolation matrix
+    invertible and the pool a set.
 
     ``needs_ridge`` turns true once an RBF fit of this pool found the plain
     activation system singular; later fits go straight to the ridged solve.
     """
 
-    def __init__(self, eps_dup: float = DUPLICATE_EPSILON, items: list[Item] | None = None):
-        if eps_dup <= 0:
-            raise ValueError("eps_dup must be positive")
-        self.eps_dup = eps_dup
-        self.items: list[Item] = []
-        self._stacked: np.ndarray | None = None
+    def __init__(self, items: list[Item] | None = None):
+        self._points = np.empty((0, 0))
+        self._fitness = np.empty(0)
         self.needs_ridge = False
         for item in items or []:
             self.add(item)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self._fitness.size
 
     def add(self, item: Item) -> bool:
         """Insert an evaluated item; returns False if it duplicates the pool."""
         if item.fitness is None:
             raise ValueError("pool items must carry a true fitness")
-        if self.min_distance(item.point) <= self.eps_dup:
+        point = np.asarray(item.point, dtype=float)
+        if self.min_distance(point) <= EXCLUSION_EPSILON:
             return False
-        self.items.append(item)
-        self._stacked = None
+        self._points = np.vstack((self._points, point)) if len(self) else np.array([point])
+        self._fitness = np.append(self._fitness, item.fitness)
+        self._points.flags.writeable = self._fitness.flags.writeable = False
         return True
 
     def points(self) -> np.ndarray:
-        """All pool points stacked as an (n, d) array."""
-        if self._stacked is None:
-            self._stacked = np.array([it.point for it in self.items], dtype=float)
-        return self._stacked
+        """All pool points as a read-only (n, d) array."""
+        return self._points
 
     def fitnesses(self) -> np.ndarray:
-        return np.array([it.fitness for it in self.items], dtype=float)
+        """The fitness of each pool point as a read-only (n,) array."""
+        return self._fitness
 
     def min_distance(self, point) -> float:
         """Distance from a point to its nearest pool item (inf when empty)."""
-        if not self.items:
+        if len(self) == 0:
             return math.inf
-        diffs = self.points() - np.asarray(point, dtype=float)
+        diffs = self._points - np.asarray(point, dtype=float)
         return float(np.sqrt(np.min(np.sum(diffs * diffs, axis=1))))
 
     def best_fitness(self) -> float:
-        return float(min(it.fitness for it in self.items))
+        return float(self._fitness.min())
 
     def worst_fitness(self) -> float:
-        return float(max(it.fitness for it in self.items))
+        return float(self._fitness.max())
 
     def mean_fitness(self) -> float:
-        return float(np.mean(self.fitnesses()))
+        return float(np.mean(self._fitness))
 
     def tail(self, n: int | None) -> "EvaluatedPool":
         """The most recent n items as a pool view (None = everything)."""
-        if n is None or n >= len(self.items):
+        if n is None or n >= len(self):
             return self
-        view = EvaluatedPool.__new__(EvaluatedPool)
-        view.eps_dup = self.eps_dup
-        view.items = self.items[-n:]
-        view._stacked = None
-        view.needs_ridge = False  # a window drops old points, so it tries the plain solve again
+        view = EvaluatedPool()  # unflagged: a window drops old points, so it tries the plain solve again
+        view._points, view._fitness = self._points[-n:], self._fitness[-n:]
         return view
 
 
@@ -194,10 +195,10 @@ def fit_lsm(pool: EvaluatedPool) -> LsmModel:
     n = len(pool)
     if n == 0:
         raise SurrogateFitError("cannot fit to an empty pool")
-    d = pool.points().shape[1]
+    pts = pool.points()
+    d = pts.shape[1]
     if n < 2 * d + 1:
         raise SurrogateFitError(f"need at least {2 * d + 1} items for dimension {d}, have {n}")
-    pts = pool.points()
     x_mat = np.hstack([np.ones((n, 1)), pts, pts * pts])
     y = pool.fitnesses().reshape(n, 1)
     # A contiguous copy: x_mat.T @ x_mat is computed differently and its
@@ -243,7 +244,7 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
         except SingularMatrixError:
             pool.needs_ridge = True
         else:
-            return RbfModel(centers=pts.copy(), weights=weights.ravel(), sigma=sigma)
+            return RbfModel(centers=pts, weights=weights.ravel(), sigma=sigma)
     # phi has a zero diagonal, so scale the ridge by the mean row mass
     # instead of the trace; every entry is >= 0, so no abs is needed.
     ridge = RBF_RIDGE_FACTOR * float(np.sum(phi)) / n
@@ -252,7 +253,7 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
         weights = solve(phi, targets)
     except SingularMatrixError as exc:
         raise SurrogateFitError(f"activation matrix is singular even with ridge: {exc}") from exc
-    return RbfModel(centers=pts.copy(), weights=weights.ravel(), sigma=sigma, ridge=ridge)
+    return RbfModel(centers=pts, weights=weights.ravel(), sigma=sigma, ridge=ridge)
 
 
 def fit(kind: str, pool: EvaluatedPool) -> MetaModel:

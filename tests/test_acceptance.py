@@ -24,7 +24,15 @@ from sagrs.recommender import (
     count_accepted,
     run_sagrs,
 )
-from sagrs.surrogate import EvaluatedPool, Item, compute_sigma, design_row, fit_lsm, fit_rbf
+from sagrs.surrogate import (
+    EXCLUSION_EPSILON,
+    EvaluatedPool,
+    Item,
+    compute_sigma,
+    design_row,
+    fit_lsm,
+    fit_rbf,
+)
 
 OBJECTIVES = ("bohachevsky", "ackley", "schwefel")
 
@@ -56,7 +64,7 @@ def test_criterion_01_rbf_interpolation_exactness():
         pool = EvaluatedPool(items=[Item(p, obj.evaluate(p)) for p in pts])
         model = fit_rbf(pool)
         scale = 1.0 + max(abs(v) for v in pool.fitnesses())
-        err = max(abs(model.predict(it.point) - it.fitness) for it in pool.items) / scale
+        err = max(abs(model.predict(p) - f) for p, f in zip(pool.points(), pool.fitnesses())) / scale
         worst = max(worst, err)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-6 and elapsed < 5.0
@@ -118,7 +126,7 @@ def test_criterion_04_exclusion_and_budget_over_full_runs():
                 pts = np.array(log)
                 for i in range(1, len(pts)):
                     dmin = np.min(np.sqrt(np.sum((pts[:i] - pts[i]) ** 2, axis=1)))
-                    if dmin <= cfg.exclusion_epsilon:
+                    if dmin <= EXCLUSION_EPSILON:
                         violations += 1
                 expected = cfg.initial_pool_size + cfg.cycles * cfg.suggestions_per_cycle
                 if result.true_evaluations_used != expected or len(log) != expected:

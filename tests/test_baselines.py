@@ -11,6 +11,7 @@ from sagrs.baselines import (
 from sagrs.evolution import GaConfig
 from sagrs.objectives import Objective, make_objective
 from sagrs.recommender import SagrsConfig, run_sagrs
+from sagrs.surrogate import EXCLUSION_EPSILON
 
 
 def sphere_objective():
@@ -131,4 +132,4 @@ def test_random_recommender_respects_exclusion():
     run_random_recommender(spy, cfg, np.random.default_rng(3))
     pts = np.array(log)
     for i in range(1, len(pts)):
-        assert np.min(np.sqrt(np.sum((pts[:i] - pts[i]) ** 2, axis=1))) > cfg.exclusion_epsilon
+        assert np.min(np.sqrt(np.sum((pts[:i] - pts[i]) ** 2, axis=1))) > EXCLUSION_EPSILON

@@ -6,6 +6,7 @@ import pytest
 
 from sagrs.harness import (
     CYCLE_CSV_COLUMNS,
+    GRID_KEY_COLUMNS,
     RUN_CSV_COLUMNS,
     ComparisonResult,
     ExperimentSpec,
@@ -16,6 +17,7 @@ from sagrs.harness import (
     run_experiment,
     summarize,
 )
+from sagrs.surrogate import EXCLUSION_EPSILON
 
 
 def tiny_spec(out_dir, **overrides):
@@ -127,6 +129,19 @@ def test_round_trip_median_through_csv(tmp_path):
     assert disk[0]["metrics"]["best_fitness"]["median"] == in_memory
 
 
+def test_aggregate_rows_skips_failed_runs():
+    point = dict.fromkeys(GRID_KEY_COLUMNS, "x")
+    finished = {**point, "best_fitness": 2.0, "convergence_cycle": 3, "acceptance_rate": 0.5,
+                "true_evals": 14}
+    failed = {**point, "best_fitness": None, "convergence_cycle": None, "acceptance_rate": None,
+              "true_evals": None}
+    only_failed = {**failed, "system": "y"}
+    [entry] = aggregate_rows([failed, finished, only_failed])
+    assert entry["system"] == "x"
+    assert entry["runs"] == 1
+    assert entry["metrics"]["best_fitness"]["median"] == 2.0
+
+
 def test_seed_independence(tmp_path):
     base = run_experiment(tiny_spec(tmp_path / "s0", repetitions=3))
     other = run_experiment(tiny_spec(tmp_path / "s1", repetitions=3, base_seed=99))
@@ -213,6 +228,17 @@ def test_metadata_records_library_versions(tmp_path):
     assert versions["numpy"] == np.__version__
     assert versions["scipy"] == scipy.__version__
     assert set(versions["blas"]) == {"numpy", "scipy"}
+
+
+def test_metadata_records_exclusion_epsilon(tmp_path):
+    from sagrs.evolution import GaConfig
+
+    run_experiment(tiny_spec(tmp_path / "exp", repetitions=1))
+    run_compare("ackley", repetitions=1, cycles=2, pool_size=8, ga=GaConfig(population_size=10),
+                out_dir=tmp_path / "cmp")
+    for name in ("exp", "cmp"):
+        metadata = json.loads((tmp_path / name / "metadata.json").read_text())
+        assert metadata["exclusion_epsilon"] == EXCLUSION_EPSILON
 
 
 def test_env_var_sets_default_output_directory(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from sagrs.recommender import (
     run_sagrs,
     select_suggestions,
 )
-from sagrs.surrogate import EvaluatedPool, Item, MeanModel, fit_lsm
+from sagrs.surrogate import EXCLUSION_EPSILON, EvaluatedPool, Item, MeanModel, fit_lsm
 
 
 def recording_objective(name="bohachevsky", dimension=2):
@@ -62,8 +62,6 @@ def test_config_validation():
         SagrsConfig(suggestions_per_cycle=0)
     with pytest.raises(ValueError):
         SagrsConfig(pool_handling="sometimes")
-    with pytest.raises(ValueError):
-        SagrsConfig(exclusion_epsilon=0.0)
     with pytest.raises(ValueError):
         # 2d+1 = 5 at d=2
         small_config(initial_pool_size=4).validate_for(make_objective("bohachevsky"))
@@ -213,7 +211,7 @@ def test_exclusion_invariant_over_full_run():
     pts = np.array(log)
     for i in range(1, len(pts)):
         dists = np.sqrt(np.sum((pts[:i] - pts[i]) ** 2, axis=1))
-        assert np.min(dists) > cfg.exclusion_epsilon
+        assert np.min(dists) > EXCLUSION_EPSILON
 
 
 def test_best_fitness_so_far_monotone_and_pool_growth():

@@ -49,6 +49,33 @@ def test_pool_deduplicates_at_insertion():
     assert len(pool) == 2
 
 
+def test_pool_arrays_equal_stacked_accepted_items():
+    rng = np.random.default_rng(5)
+    pool = EvaluatedPool()
+    accepted = []
+    for point in rng.uniform(-1.0, 1.0, size=(40, 3)):
+        for candidate in (point, point + 1e-10):  # the second is a duplicate
+            item = Item(candidate, float(rng.normal()))
+            if pool.add(item):
+                accepted.append(item)
+    assert len(accepted) == len(pool) == 40
+    points = np.array([it.point for it in accepted], dtype=float)
+    fitness = np.array([it.fitness for it in accepted], dtype=float)
+    assert pool.points().tobytes() == points.tobytes() and pool.points().shape == (40, 3)
+    assert pool.fitnesses().tobytes() == fitness.tobytes()
+
+
+def test_pool_arrays_are_read_only():
+    pool = pool_from([(0.0, 0.0), (1.0, 2.0)], [1.0, 3.0])
+    with pytest.raises(ValueError):
+        pool.points()[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        pool.fitnesses()[0] = 5.0
+    with pytest.raises(ValueError):
+        pool.tail(1).fitnesses()[0] = 5.0
+    assert pool.best_fitness() == 1.0
+
+
 def test_pool_min_distance_and_extremes():
     pool = pool_from([(0.0, 0.0), (3.0, 4.0)], [2.0, 7.0])
     assert pool.min_distance([0.0, 0.0]) == 0.0
@@ -64,6 +91,19 @@ def test_pool_tail_window():
     assert tail.points()[0, 0] == 3.0
     assert pool.tail(None) is pool
     assert pool.tail(99) is pool
+
+
+def test_tail_view_and_parent_grow_apart():
+    pool = pool_from([(float(i), 0.0) for i in range(5)], range(5))
+    view = pool.tail(2)
+    assert pool.add(Item(np.array([9.0, 9.0]), -1.0))
+    assert len(view) == 2
+    assert view.points().tolist() == [[3.0, 0.0], [4.0, 0.0]]
+    assert view.fitnesses().tolist() == [3.0, 4.0]
+    assert view.add(Item(np.array([7.0, 7.0]), -2.0))
+    assert len(view) == 3 and view.best_fitness() == -2.0
+    assert len(pool) == 6 and pool.best_fitness() == -1.0
+    assert pool.min_distance([7.0, 7.0]) > 1.0
 
 
 # ---------------------------------------------------------------- LSM
@@ -206,8 +246,8 @@ def test_fit_rbf_interpolates_training_points():
             model = fit_rbf(pool)
             assert model.ridge == 0.0
             scale = 1.0 + max(abs(v) for v in pool.fitnesses())
-            for item in pool.items:
-                assert abs(model.predict(item.point) - item.fitness) <= 1e-6 * scale
+            for point, fitness in zip(pool.points(), pool.fitnesses()):
+                assert abs(model.predict(point) - fitness) <= 1e-6 * scale
 
 
 def test_fit_rbf_sigma_is_compute_sigma_bitwise():
@@ -230,7 +270,7 @@ def test_flagged_pool_fits_match_fresh_pools_bitwise():
         for p in obj.sample_uniform(rng, 100 if len(pool) == 0 else 8):
             pool.add(Item(p, obj.evaluate(p)))
         model = fit_rbf(pool)
-        fresh = fit_rbf(EvaluatedPool(items=pool.items))
+        fresh = fit_rbf(pool_from(pool.points(), pool.fitnesses()))
         assert pool.needs_ridge  # at 100 points the plain system is already singular
         assert model.ridge > 0.0
         assert model.sigma == fresh.sigma
@@ -284,8 +324,8 @@ def test_fit_dispatch_lsm_exact_recovery():
 def test_fit_dispatch_rbf_interpolates():
     pool = pool_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1.0, 2.0, 3.0])
     model = fit("rbf", pool)
-    for item in pool.items:
-        assert model.predict(item.point) == pytest.approx(item.fitness, abs=1e-6)
+    for point, fitness in zip(pool.points(), pool.fitnesses()):
+        assert model.predict(point) == pytest.approx(fitness, abs=1e-6)
 
 
 def test_fit_unknown_kind():
