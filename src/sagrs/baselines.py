@@ -49,6 +49,14 @@ class BudgetedObjective:
             self.best_point = np.asarray(point, dtype=float).copy()
         return value
 
+    def evaluate_batch(self, points) -> np.ndarray:
+        """The GA fitness contract: one ``evaluate`` per row, in row order.
+
+        The budget check runs per point, so an exhausted budget stops the
+        batch at the first row past it.
+        """
+        return np.array([self.evaluate(p) for p in points], dtype=float)
+
 
 @dataclass(eq=False)
 class BaselineResult:
@@ -88,10 +96,10 @@ def run_ga_baseline(
     generations = 0
     try:
         for _ in range(n_gen):
-            population = step_generation(population, budgeted.evaluate, cfg, obj, rng)
+            population = step_generation(population, budgeted.evaluate_batch, cfg, obj, rng)
             generations += 1
         # the last generation's offspring still need scoring to count
-        score_population(population, budgeted.evaluate)
+        score_population(population, budgeted.evaluate_batch)
     except BudgetExhaustedError:
         pass
     return BaselineResult(

@@ -1,10 +1,10 @@
 """Real-valued genetic algorithm over an arbitrary fitness contract.
 
-The fitness contract is any callable point -> float, lower is better; the
-same engine optimizes against a surrogate or against the true objective.
-Scoring is lazy: individuals carry their score (NaN = not yet scored) and
-unchanged individuals are never re-scored, which keeps true-objective
-budgets honest.
+The fitness contract is any callable that maps an (m, d) array of points to
+their (m,) fitness, lower is better; the same engine optimizes against a
+surrogate or against the true objective. Scoring is lazy: individuals carry
+their score and a scored flag, and unchanged individuals are never
+re-scored, which keeps true-objective budgets honest.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .objectives import Objective
 
-FitnessContract = Callable[[np.ndarray], float]
+FitnessContract = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,19 @@ class GaConfig:
 @dataclass(eq=False)
 class Population:
     individuals: np.ndarray  # (n, d)
-    scores: np.ndarray | None = None  # (n,), NaN where not yet scored
+    scores: np.ndarray | None = None  # (n,); rows not yet scored hold NaN
+    scored: np.ndarray | None = None  # (n,) bool; if omitted, all rows are scored iff scores is given
+
+    def __post_init__(self):
+        if self.scored is None:
+            self.scored = np.full(len(self), self.scores is not None)
 
     def __len__(self) -> int:
         return self.individuals.shape[0]
 
     @property
     def fully_scored(self) -> bool:
-        return self.scores is not None and not np.any(np.isnan(self.scores))
+        return bool(np.all(self.scored))
 
 
 def survivor_count(selection_factor: float, population_size: int) -> int:
@@ -68,11 +73,16 @@ def init_population(obj: Objective, cfg: GaConfig, rng: np.random.Generator) -> 
 
 
 def score_population(pop: Population, fitness: FitnessContract) -> Population:
-    """Fill in missing scores in place; cached entries are left untouched."""
+    """Fill in missing scores in place with one fitness call over the unscored rows.
+
+    Cached entries are left untouched, and a score of NaN counts as scored.
+    """
     if pop.scores is None:
         pop.scores = np.full(len(pop), np.nan)
-    for i in np.flatnonzero(np.isnan(pop.scores)):
-        pop.scores[i] = fitness(pop.individuals[i])
+    todo = np.flatnonzero(~pop.scored)
+    if todo.size:
+        pop.scores[todo] = fitness(pop.individuals[todo])
+        pop.scored[todo] = True
     return pop
 
 
@@ -104,8 +114,10 @@ def step_generation(
 
     next_inds = np.empty((n, d))
     next_scores = np.full(n, np.nan)
+    next_scored = np.zeros(n, dtype=bool)
     next_inds[:m] = ranked[:m]
     next_scores[:m] = ranked_scores[:m]
+    next_scored[:m] = True
 
     for slot in range(m, n):
         i, j = rng.integers(0, m, size=2)
@@ -116,15 +128,17 @@ def step_generation(
             better = i if ranked_scores[i] <= ranked_scores[j] else j
             next_inds[slot] = ranked[better]
             next_scores[slot] = ranked_scores[better]  # clone keeps its cached score
+            next_scored[slot] = True
 
     noise_std = cfg.mutation_scale * obj.width
     for slot in range(cfg.elitism, n):
         if rng.random() < cfg.mutation_prob:
             next_inds[slot] = next_inds[slot] + rng.normal(0.0, 1.0, size=d) * noise_std
             next_scores[slot] = np.nan
+            next_scored[slot] = False
 
     np.clip(next_inds, obj.lower, obj.upper, out=next_inds)
-    return Population(individuals=next_inds, scores=next_scores)
+    return Population(individuals=next_inds, scores=next_scores, scored=next_scored)
 
 
 def best_k(pop: Population, k: int) -> list[tuple[np.ndarray, float]]:

@@ -117,16 +117,19 @@ def select_suggestions(
 
     Candidates come from the population in ascending surrogate-score order;
     anything within EXCLUSION_EPSILON of a pool item or of an already chosen
-    suggestion is skipped. If the population runs out, the remainder is
-    drawn uniformly from the domain under the same exclusion check.
+    suggestion is skipped. The pool distances of the whole population come
+    from one call. If the population runs out, the remainder is drawn
+    uniformly from the domain, one point at a time, under the same exclusion
+    check.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     score_population(pop, model.predict)
+    pool_distances = pool.min_distance(pop.individuals)
     chosen: list[np.ndarray] = []
 
-    def admissible(point: np.ndarray) -> bool:
-        if pool.min_distance(point) <= EXCLUSION_EPSILON:
+    def admissible(point: np.ndarray, pool_distance: float) -> bool:
+        if pool_distance <= EXCLUSION_EPSILON:
             return False
         return all(float(np.linalg.norm(point - c)) > EXCLUSION_EPSILON for c in chosen)
 
@@ -134,12 +137,12 @@ def select_suggestions(
         if len(chosen) == k:
             break
         candidate = pop.individuals[idx]
-        if admissible(candidate):
+        if admissible(candidate, pool_distances[idx]):
             chosen.append(candidate.copy())
     while len(chosen) < k:
-        candidate = obj.sample_uniform(rng, 1)[0]
-        if admissible(candidate):
-            chosen.append(candidate)
+        draw = obj.sample_uniform(rng, 1)
+        if admissible(draw[0], pool.min_distance(draw)[0]):
+            chosen.append(draw[0])
     return chosen
 
 
@@ -156,10 +159,10 @@ def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> Run
     evaluations = 0
 
     while len(pool) < cfg.initial_pool_size:
-        point = obj.sample_uniform(rng, 1)[0]
-        if pool.min_distance(point) <= EXCLUSION_EPSILON:
+        draw = obj.sample_uniform(rng, 1)
+        if pool.min_distance(draw)[0] <= EXCLUSION_EPSILON:
             continue  # re-draw instead of double-evaluating the same spot
-        pool.add(Item(point=point, fitness=obj.evaluate(point)))
+        pool.add(Item(point=draw[0], fitness=obj.evaluate(draw[0])))
         evaluations += 1
 
     records: list[CycleRecord] = []

@@ -10,8 +10,9 @@ Two interchangeable surrogates estimate the fitness of unseen points:
   the kernel width set to the mean pairwise distance of the pool; it
   interpolates small pools and carries a ridge on larger ones.
 
-Both expose ``predict(point) -> float``; ``fit(kind, pool)`` dispatches by
-name. ``MeanModel`` is the degenerate fallback used when a fit fails.
+Both expose ``predict(points) -> scores``, which maps an (m, d) array to
+(m,) predicted fitness; ``fit(kind, pool)`` dispatches by name.
+``MeanModel`` is the degenerate fallback used when a fit fails.
 
 ``EvaluatedPool`` holds the evaluated points and their fitness as two
 read-only arrays; it is also the exclusion set (see ``EXCLUSION_EPSILON``).
@@ -77,7 +78,7 @@ class EvaluatedPool:
         if item.fitness is None:
             raise ValueError("pool items must carry a true fitness")
         point = np.asarray(item.point, dtype=float)
-        if self.min_distance(point) <= EXCLUSION_EPSILON:
+        if self.min_distance(point[None])[0] <= EXCLUSION_EPSILON:
             return False
         self._points = np.vstack((self._points, point)) if len(self) else np.array([point])
         self._fitness = np.append(self._fitness, item.fitness)
@@ -92,12 +93,12 @@ class EvaluatedPool:
         """The fitness of each pool point as a read-only (n,) array."""
         return self._fitness
 
-    def min_distance(self, point) -> float:
-        """Distance from a point to its nearest pool item (inf when empty)."""
+    def min_distance(self, points) -> np.ndarray:
+        """Distance from each of (m, d) points to its nearest pool item (inf when empty)."""
+        points = _check_points(points)
         if len(self) == 0:
-            return math.inf
-        diffs = self._points - np.asarray(point, dtype=float)
-        return float(np.sqrt(np.min(np.sum(diffs * diffs, axis=1))))
+            return np.full(len(points), math.inf)
+        return np.sqrt(np.min(squared_distances(points, self._points), axis=1))
 
     def best_fitness(self) -> float:
         return float(self._fitness.min())
@@ -131,12 +132,10 @@ class LsmModel:
     def dimension(self) -> int:
         return (self.theta.size - 1) // 2
 
-    def predict(self, point) -> float:
-        x = np.asarray(point, dtype=float)
+    def predict(self, points) -> np.ndarray:
         d = self.dimension
-        if x.shape != (d,):
-            raise ValueError(f"point has shape {x.shape}, expected ({d},)")
-        return float(self.theta[0] + self.theta[1 : d + 1] @ x + self.theta[d + 1 :] @ (x * x))
+        x = _check_points(points, d)
+        return self.theta[0] + _row_dots(x, self.theta[1 : d + 1]) + _row_dots(x * x, self.theta[d + 1 :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +153,10 @@ class RbfModel:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
 
-    def predict(self, point) -> float:
-        x = np.asarray(point, dtype=float)
-        if x.shape != (self.centers.shape[1],):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.centers.shape[1]},)")
-        dist = np.sqrt(np.sum((self.centers - x) ** 2, axis=1))
-        return float(self.weights @ gaussian_bump(dist, self.sigma))
+    def predict(self, points) -> np.ndarray:
+        x = _check_points(points, self.centers.shape[1])
+        dist = np.sqrt(squared_distances(x, self.centers))
+        return _row_dots(gaussian_bump(dist, self.sigma), self.weights)
 
 
 @dataclass(frozen=True)
@@ -168,11 +165,66 @@ class MeanModel:
 
     mean_fitness: float
 
-    def predict(self, point) -> float:
-        return self.mean_fitness
+    def predict(self, points) -> np.ndarray:
+        return np.full(len(_check_points(points)), self.mean_fitness)
 
 
 MetaModel = LsmModel | RbfModel | MeanModel
+
+
+def _check_points(points, d: int | None = None) -> np.ndarray:
+    """points as an (m, d) float array; d=None accepts any width."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or (d is not None and x.shape[1] != d):
+        raise ValueError(f"points have shape {x.shape}, expected (m, {d or 'd'})")
+    return x
+
+
+def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances from (m, d) points to (n, d) centers.
+
+    Row i is bitwise ``np.sum((centers - points[i]) ** 2, axis=1)``, the
+    per-point formula, so batching changes no output. The coordinate axis
+    goes first: each elementwise step then runs over m * n contiguous values
+    instead of m * n rows of d, several times faster for small d.
+    """
+    diffs = np.ascontiguousarray(centers.T)[:, None, :] - points.T[:, :, None]
+    return _pairwise_sum(list(diffs * diffs))
+
+
+def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays in the order ``np.sum`` adds a row.
+
+    numpy adds fewer than 8 terms left to right, up to 128 in eight
+    interleaved partial sums, and more by halves. It starts from 0.0, which
+    changes no bit of the non-negative terms summed here.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        return total
+    if n <= 128:
+        r = terms[:8]
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r = [r[j] + terms[i + j] for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in terms[stop:]:
+            total = total + t
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """rows @ w, one stacked vector dot per row.
+
+    Each row is bitwise ``row @ w``; a plain ``rows @ w`` is a matrix-vector
+    product whose rounding differs, which would change every run's output.
+    """
+    return np.matmul(rows[:, None, :], w[:, None])[:, 0, 0]
 
 
 def gaussian_bump(r, sigma: float):

@@ -64,7 +64,7 @@ def test_criterion_01_rbf_interpolation_exactness():
         pool = EvaluatedPool(items=[Item(p, obj.evaluate(p)) for p in pts])
         model = fit_rbf(pool)
         scale = 1.0 + max(abs(v) for v in pool.fitnesses())
-        err = max(abs(model.predict(p) - f) for p, f in zip(pool.points(), pool.fitnesses())) / scale
+        err = max(abs(got - f) for got, f in zip(model.predict(pool.points()), pool.fitnesses())) / scale
         worst = max(worst, err)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-6 and elapsed < 5.0

@@ -13,8 +13,13 @@ from sagrs.evolution import (
 from sagrs.objectives import make_objective
 
 
-def sphere(x):
-    return float(x @ x)
+def sphere(points):
+    return np.sum(points * points, axis=1)
+
+
+def one_by_one(fn):
+    """A per-point function as a batch fitness callable."""
+    return lambda points: np.array([fn(p) for p in points])
 
 
 def as_multiset(individuals):
@@ -87,7 +92,7 @@ def test_generation_sequence_deterministic():
         pop = init_population(obj, cfg, rng)
         frames = []
         for _ in range(10):
-            pop = step_generation(pop, obj.evaluate, cfg, obj, rng)
+            pop = step_generation(pop, one_by_one(obj.evaluate), cfg, obj, rng)
             frames.append(pop.individuals.copy())
         return frames
 
@@ -125,9 +130,9 @@ def test_lazy_scoring_never_rescores_cached_individuals():
     rng = np.random.default_rng(9)
     seen: list[tuple] = []
 
-    def counting(x):
-        seen.append(tuple(x))
-        return sphere(x)
+    def counting(points):
+        seen.extend(map(tuple, points))
+        return sphere(points)
 
     pop = init_population(obj, cfg, rng)
     for _ in range(8):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sagrs.recommender as recommender_mod
-from sagrs.evolution import GaConfig, Population
+from sagrs.evolution import GaConfig, Population, init_population, step_generation
 from sagrs.objectives import Objective, make_objective
 from sagrs.recommender import (
     CycleRecord,
@@ -136,7 +136,7 @@ def test_select_suggestions_fills_with_uniform_samples():
     assert len(picks) == 4
     for p in picks[2:]:  # the uniform fills respect domain and exclusion
         assert np.all(p >= obj.lower) and np.all(p <= obj.upper)
-        assert pool.min_distance(p) > 1e-9
+        assert pool.min_distance([p])[0] > 1e-9
 
 
 def test_select_suggestions_mutual_exclusion():
@@ -156,8 +156,34 @@ def test_select_suggestions_scores_population_with_model():
     model = fit_lsm(train)
     pop = Population(individuals=np.array([[10.0, 10.0], [0.5, 0.5], [30.0, -30.0]]))
     picks = select_suggestions(pop, train, 3, model, obj, np.random.default_rng(0))
-    want = sorted(pop.individuals, key=lambda p: model.predict(p))
+    want = pop.individuals[np.argsort(model.predict(pop.individuals), kind="stable")]
     assert all(np.array_equal(a, b) for a, b in zip(picks, want))
+
+
+class NanForPositiveFirstCoordinate:
+    """A surrogate that predicts NaN for some points and logs every row it is asked about."""
+
+    def __init__(self):
+        self.asked: list[tuple] = []
+
+    def predict(self, points):
+        self.asked.extend(map(tuple, points))
+        return np.where(points[:, 0] > 0.0, np.nan, np.sum(points * points, axis=1))
+
+
+def test_nan_prediction_counts_as_scored():
+    obj = make_objective("bohachevsky")
+    cfg = GaConfig(population_size=30, mutation_prob=0.5)
+    rng = np.random.default_rng(19)
+    model = NanForPositiveFirstCoordinate()
+    pop = init_population(obj, cfg, rng)
+    for _ in range(3):
+        pop = step_generation(pop, model.predict, cfg, obj, rng)
+    select_suggestions(pop, EvaluatedPool(), 4, model, obj, rng)
+    assert pop.fully_scored
+    assert np.isnan(pop.scores).any()  # NaN scores survived into the last population
+    assert len(model.asked) == len(set(model.asked))  # no individual was asked twice
+    assert set(map(tuple, pop.individuals)) <= set(model.asked)
 
 
 # ------------------------------------------------------------ the loop

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from sagrs.objectives import make_objective
+from sagrs.recommender import SagrsConfig, run_sagrs
 from sagrs.surrogate import (
     EvaluatedPool,
     Item,
     LsmModel,
     MeanModel,
+    RbfModel,
     SurrogateFitError,
     compute_sigma,
     design_row,
@@ -17,6 +19,7 @@ from sagrs.surrogate import (
     fit_or_fallback,
     fit_rbf,
     gaussian_bump,
+    squared_distances,
 )
 
 
@@ -78,8 +81,9 @@ def test_pool_arrays_are_read_only():
 
 def test_pool_min_distance_and_extremes():
     pool = pool_from([(0.0, 0.0), (3.0, 4.0)], [2.0, 7.0])
-    assert pool.min_distance([0.0, 0.0]) == 0.0
-    assert pool.min_distance([3.0, 0.0]) == pytest.approx(3.0)
+    at_origin, at_three = pool.min_distance([[0.0, 0.0], [3.0, 0.0]])
+    assert at_origin == 0.0
+    assert at_three == pytest.approx(3.0)
     assert pool.best_fitness() == 2.0
     assert pool.worst_fitness() == 7.0
 
@@ -103,7 +107,7 @@ def test_tail_view_and_parent_grow_apart():
     assert view.add(Item(np.array([7.0, 7.0]), -2.0))
     assert len(view) == 3 and view.best_fitness() == -2.0
     assert len(pool) == 6 and pool.best_fitness() == -1.0
-    assert pool.min_distance([7.0, 7.0]) > 1.0
+    assert pool.min_distance([[7.0, 7.0]])[0] > 1.0
 
 
 # ---------------------------------------------------------------- LSM
@@ -141,11 +145,13 @@ def test_fit_lsm_singular_design():
 
 def test_predict_lsm_hand_values():
     model = LsmModel(theta=np.array([0.7, 0.0, 0.0, 1.0, 2.0]))
-    assert model.predict([0.0, 0.0]) == pytest.approx(0.7)
-    assert model.predict([1.0, 1.0]) == pytest.approx(3.7)
+    at_origin, at_ones = model.predict([[0.0, 0.0], [1.0, 1.0]])
+    assert at_origin == pytest.approx(0.7)
+    assert at_ones == pytest.approx(3.7)
     linear = LsmModel(theta=np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-    for x in (-3.0, 0.5, 11.0):
-        assert linear.predict([x, 123.0]) == pytest.approx(x)
+    xs = (-3.0, 0.5, 11.0)
+    for x, got in zip(xs, linear.predict([[x, 123.0] for x in xs])):
+        assert got == pytest.approx(x)
 
 
 def test_lsm_exactness_on_its_own_model_class():
@@ -156,9 +162,9 @@ def test_lsm_exactness_on_its_own_model_class():
         train = obj.sample_uniform(rng, int(rng.integers(5, 30)))
         model = fit_lsm(quadratic_pool(coeffs, train))
         probes = obj.sample_uniform(rng, 100)
-        for p in probes:
+        for p, got in zip(probes, model.predict(probes)):
             want = float(coeffs @ design_row(p))
-            assert model.predict(p) == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
+            assert got == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
 
 
 def test_lsm_residual_local_optimality():
@@ -170,7 +176,7 @@ def test_lsm_residual_local_optimality():
 
     def ssr(theta):
         m = LsmModel(theta=theta)
-        return sum((m.predict(p) - v) ** 2 for p, v in zip(pts, values))
+        return sum((got - v) ** 2 for got, v in zip(m.predict(pts), values))
 
     base = ssr(model.theta)
     for i in range(5):
@@ -246,8 +252,8 @@ def test_fit_rbf_interpolates_training_points():
             model = fit_rbf(pool)
             assert model.ridge == 0.0
             scale = 1.0 + max(abs(v) for v in pool.fitnesses())
-            for point, fitness in zip(pool.points(), pool.fitnesses()):
-                assert abs(model.predict(point) - fitness) <= 1e-6 * scale
+            for got, fitness in zip(model.predict(pool.points()), pool.fitnesses()):
+                assert abs(got - fitness) <= 1e-6 * scale
 
 
 def test_fit_rbf_sigma_is_compute_sigma_bitwise():
@@ -303,13 +309,13 @@ def test_predict_rbf_far_field_limit():
     model = fit_rbf(pool)
     total = float(np.sum(model.weights))
     far = np.array([100.0 * model.sigma, 100.0 * model.sigma])
-    assert abs(model.predict(far) - total) <= 1e-3 * abs(total)
+    assert abs(model.predict(far[None])[0] - total) <= 1e-3 * abs(total)
 
 
 def test_predict_rbf_zero_weights():
     model = fit_rbf(pool_from([(0.0, 0.0), (1.0, 1.0)], [0.0, 0.0]))
     assert np.allclose(model.weights, 0.0)
-    assert model.predict([0.3, 0.9]) == 0.0
+    assert model.predict([[0.3, 0.9]])[0] == 0.0
 
 
 # ---------------------------------------------------------------- dispatch
@@ -324,8 +330,8 @@ def test_fit_dispatch_lsm_exact_recovery():
 def test_fit_dispatch_rbf_interpolates():
     pool = pool_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1.0, 2.0, 3.0])
     model = fit("rbf", pool)
-    for point, fitness in zip(pool.points(), pool.fitnesses()):
-        assert model.predict(point) == pytest.approx(fitness, abs=1e-6)
+    for got, fitness in zip(model.predict(pool.points()), pool.fitnesses()):
+        assert got == pytest.approx(fitness, abs=1e-6)
 
 
 def test_fit_unknown_kind():
@@ -341,14 +347,12 @@ def test_fit_or_fallback_degrades_to_mean():
     model, ok = fit_or_fallback("lsm", pool)  # 2 < 2d+1, LSM cannot fit
     assert not ok
     assert isinstance(model, MeanModel)
-    assert model.predict([9.0, 9.0]) == pytest.approx(2.0)
+    assert model.predict([[9.0, 9.0]])[0] == pytest.approx(2.0)
     model, ok = fit_or_fallback("rbf", pool)
     assert ok
 
 
 def test_model_invariant_validation():
-    from sagrs.surrogate import RbfModel
-
     with pytest.raises(ValueError):
         LsmModel(theta=np.array([1.0, 2.0]))  # even length cannot be 2d+1
     with pytest.raises(ValueError):
@@ -368,3 +372,88 @@ def test_refit_is_bitwise_stable():
     assert rbf_a.sigma == rbf_b.sigma
     assert np.array_equal(rbf_a.weights, rbf_b.weights)
     assert np.array_equal(rbf_a.centers, rbf_b.centers)
+
+
+# ---------------------------------------------------------------- batch bits
+# The batch methods must give, row for row, the bits of these per-point
+# formulas: every seeded run's output depends on them.
+
+
+def lsm_row_reference(model, x):
+    d = model.dimension
+    return float(model.theta[0] + model.theta[1 : d + 1] @ x + model.theta[d + 1 :] @ (x * x))
+
+
+def rbf_row_reference(model, x):
+    dist = np.sqrt(np.sum((model.centers - x) ** 2, axis=1))
+    return float(model.weights @ gaussian_bump(dist, model.sigma))
+
+
+def min_distance_row_reference(pool, x):
+    diffs = pool.points() - x
+    return float(np.sqrt(np.min(np.sum(diffs * diffs, axis=1))))
+
+
+@pytest.mark.parametrize("size", [20, 60, 150, 400, 900])
+def test_batch_predict_and_min_distance_match_row_references_bitwise(size):
+    rng = np.random.default_rng(size)
+    for name, dimension in (("bohachevsky", 2), ("schwefel", 5), ("ackley", 9)):
+        obj = make_objective(name, dimension)
+        pts = obj.sample_uniform(rng, size)
+        pool = pool_from(pts, [obj.evaluate(p) for p in pts])
+        probes = np.vstack([obj.sample_uniform(rng, 60), pts[:5]])
+        lsm, rbf = fit_lsm(pool), fit_rbf(pool)
+        if dimension == 2:  # from about 55 points on, 2-D pools carry a ridge
+            assert (rbf.ridge > 0.0) == (size >= 60)
+        for model, reference in ((lsm, lsm_row_reference), (rbf, rbf_row_reference)):
+            want = np.array([reference(model, x) for x in probes])
+            assert model.predict(probes).tobytes() == want.tobytes()
+        want = np.array([min_distance_row_reference(pool, x) for x in probes])
+        assert pool.min_distance(probes).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dimension", [*range(1, 20), 64, 127, 128, 129, 136, 300])
+def test_squared_distances_match_per_point_sums_bitwise(dimension):
+    # numpy sums a row in blocks of 8 and halves past 128; the coordinate
+    # planes must be added in that same order
+    rng = np.random.default_rng(dimension)
+    scale = 10.0 ** rng.uniform(-6, 6, size=dimension)
+    centers = rng.standard_normal((40, dimension)) * scale
+    points = np.vstack([rng.standard_normal((15, dimension)) * scale, centers[:3]])
+    want = np.array([np.sum((centers - x) ** 2, axis=1) for x in points])
+    assert squared_distances(points, centers).tobytes() == want.tobytes()
+
+
+def test_batch_shapes_and_empty_pool():
+    model = LsmModel(theta=np.array([0.7, 0.0, 0.0, 1.0, 2.0]))
+    assert model.predict(np.zeros((0, 2))).shape == (0,)
+    assert MeanModel(2.0).predict(np.zeros((3, 2))).tolist() == [2.0, 2.0, 2.0]
+    for bad in ([0.0, 0.0], np.zeros((2, 3))):
+        with pytest.raises(ValueError):
+            model.predict(bad)
+    with pytest.raises(ValueError):
+        MeanModel(2.0).predict([0.0, 0.0])
+    assert EvaluatedPool().min_distance(np.zeros((2, 3))).tolist() == [math.inf, math.inf]
+    with pytest.raises(ValueError):
+        pool_from([(0.0, 0.0)], [1.0]).min_distance([0.0, 0.0])
+
+
+def predict_row_by_row(self, points):
+    reference = lsm_row_reference if isinstance(self, LsmModel) else rbf_row_reference
+    return np.array([reference(self, x) for x in np.asarray(points, dtype=float)])
+
+
+@pytest.mark.parametrize("kind, rate", [("lsm", 16), ("rbf", 1)])
+def test_batch_scoring_run_matches_row_by_row_run(monkeypatch, kind, rate):
+    obj = make_objective("ackley")
+    cfg = SagrsConfig(model_kind=kind, evaluation_rate=rate, suggestions_per_cycle=4,
+                      cycles=12, pool_handling="no_reset", initial_pool_size=100)
+    batched = run_sagrs(obj, cfg, np.random.default_rng(23))
+    monkeypatch.setattr(LsmModel if kind == "lsm" else RbfModel, "predict", predict_row_by_row)
+    row_by_row = run_sagrs(obj, cfg, np.random.default_rng(23))
+    assert len(batched.cycle_records) == len(row_by_row.cycle_records) == 12
+    for a, b in zip(batched.cycle_records, row_by_row.cycle_records):
+        assert a.surrogate_fit_ok and b.surrogate_fit_ok
+        assert (a.accepted_count, a.best_true_fitness_so_far) == (b.accepted_count, b.best_true_fitness_so_far)
+        assert [(i.point.tobytes(), i.fitness) for i in a.suggested] == \
+            [(i.point.tobytes(), i.fitness) for i in b.suggested]
