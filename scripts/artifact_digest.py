@@ -3,6 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 scripts/artifact_digest.py [OUTPUT]
+    python3 scripts/artifact_digest.py --check scripts/artifact_digest.sha256
 
 Each command runs in-process through ``sagrs.cli.cli_main``, with the
 checkout's ``src/`` first on the import path, writing into a temporary
@@ -11,6 +12,13 @@ directory. For every ``runs.csv``, ``cycles.csv``, ``summary.json`` and
 or to OUTPUT when given. Diff the lines of two checkouts to check that a
 change keeps the output bytes. Stops with a nonzero status if a command
 does not exit 0.
+
+``--check FILE`` compares the lines with a reference file instead, such as
+the committed ``scripts/artifact_digest.sha256``, and exits 1 listing every
+line that differs. The reference was written with one OpenBLAS thread
+(``OPENBLAS_NUM_THREADS=1``). The check is not part of CI: the RBF fit's
+bits still depend on the BLAS build and its thread count, so another
+machine can differ without any change to the code.
 """
 
 from __future__ import annotations
@@ -57,20 +65,38 @@ def digest_lines(cli_main, root: Path) -> list[str]:
     return lines
 
 
-def main(argv: list[str]) -> None:
+def differing_lines(lines: list[str], reference: list[str]) -> list[str]:
+    """Reference lines not produced, marked "- ", then produced lines not in the reference, marked "+ "."""
+    return ([f"- {line}" for line in reference if line not in lines]
+            + [f"+ {line}" for line in lines if line not in reference])
+
+
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("output", nargs="?", type=Path, help="file for the lines (default: standard output)")
-    output = parser.parse_args(argv).output
+    target = parser.add_mutually_exclusive_group()
+    target.add_argument("output", nargs="?", type=Path, help="file for the lines (default: standard output)")
+    target.add_argument("--check", type=Path, metavar="FILE",
+                        help="compare with the lines in FILE; exit 1 if any differ")
+    args = parser.parse_args(argv)
+    reference = args.check.read_text().splitlines() if args.check is not None else None
     sys.path.insert(0, str(SRC))
     from sagrs.cli import cli_main
 
     with tempfile.TemporaryDirectory(prefix="sagrs-digest-") as tmp:
-        text = "\n".join(digest_lines(cli_main, Path(tmp))) + "\n"
-    if output is not None:
-        output.write_text(text)
+        lines = digest_lines(cli_main, Path(tmp))
+    if reference is not None:
+        diff = differing_lines(lines, reference)
+        for line in diff:
+            print(line)
+        print(f"artifact_digest: {len(diff)} differing lines against {args.check}", file=sys.stderr)
+        return 1 if diff else 0
+    text = "\n".join(lines) + "\n"
+    if args.output is not None:
+        args.output.write_text(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

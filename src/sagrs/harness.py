@@ -123,6 +123,8 @@ class ExperimentSpec:
         for axis_name in ("suggestions", "cycles"):
             if min(getattr(self, axis_name)) < 1:
                 raise ValueError(f"{axis_name} must be >= 1, got {getattr(self, axis_name)}")
+        if self.training_window is not None and self.training_window < 1:
+            raise ValueError(f"training_window must be >= 1 when set, got {self.training_window}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 

@@ -29,12 +29,14 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
-def solve(a, b) -> np.ndarray:
+def solve(a, b, overwrite_a: bool = False) -> np.ndarray:
     """Solve a @ x = b for square a via partially pivoted LU.
 
     Raises SingularMatrixError when any pivot falls below SINGULARITY_TOL
     relative to the row scale of a, so callers can fall back or regularize
-    instead of silently consuming garbage.
+    instead of silently consuming garbage. With ``overwrite_a`` the LU may
+    be written over a, which then avoids a copy if a is a Fortran-ordered
+    float64 array.
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
@@ -52,7 +54,7 @@ def solve(a, b) -> np.ndarray:
         # scipy warns instead of raising when U has an exact zero pivot;
         # the explicit check below covers that case and near-zero ones.
         warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite_a, check_finite=False)
 
     # Apply the factorization's row interchanges to the row scales, so each
     # pivot is compared with the scale of the original row it came from.

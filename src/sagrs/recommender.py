@@ -21,6 +21,7 @@ from .surrogate import (
     EvaluatedPool,
     Item,
     MetaModel,
+    first_distinct,
     fit_or_fallback,
 )
 
@@ -119,8 +120,10 @@ def select_suggestions(
     anything within EXCLUSION_EPSILON of a pool item or of an already chosen
     suggestion is skipped. The pool distances of the whole population come
     from one call. If the population runs out, the remainder is drawn
-    uniformly from the domain, one point at a time, under the same exclusion
-    check.
+    uniformly from the domain under the same exclusion check: a block of as
+    many points as are missing, checked against the pool in one call and
+    then accepted in row order, repeated until k are chosen. This consumes
+    the same random stream as drawing one point at a time.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -140,10 +143,30 @@ def select_suggestions(
         if admissible(candidate, pool_distances[idx]):
             chosen.append(candidate.copy())
     while len(chosen) < k:
-        draw = obj.sample_uniform(rng, 1)
-        if admissible(draw[0], pool.min_distance(draw)[0]):
-            chosen.append(draw[0])
+        draws = obj.sample_uniform(rng, k - len(chosen))
+        for draw, pool_distance in zip(draws, pool.min_distance(draws)):
+            if admissible(draw, pool_distance):
+                chosen.append(draw)
     return chosen
+
+
+def draw_initial_pool(obj: Objective, size: int, rng: np.random.Generator) -> EvaluatedPool:
+    """size uniform points, true-evaluated in draw order, as a new pool.
+
+    A draw within EXCLUSION_EPSILON of an earlier kept one is dropped and
+    replaced by a fresh draw, instead of double-evaluating the same spot.
+    The draws come as one block plus a block per shortfall, which consumes
+    the same random stream as drawing one point at a time.
+    """
+    draws = obj.sample_uniform(rng, size)
+    keep = first_distinct(draws)
+    while np.count_nonzero(keep) < size:
+        draws = np.vstack((draws, obj.sample_uniform(rng, size - np.count_nonzero(keep))))
+        keep = first_distinct(draws)
+    points = draws[keep]
+    pool = EvaluatedPool()
+    pool.add(points, [obj.evaluate(p) for p in points])
+    return pool
 
 
 def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> RunResult:
@@ -151,19 +174,13 @@ def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> Run
 
     The initial pool is true-evaluated up front; every cycle then refits the
     surrogate, optimizes candidates against it, suggests, true-evaluates and
-    re-inserts. A failed surrogate fit degrades to a mean predictor for that
-    cycle and is flagged in the cycle record.
+    re-inserts the suggestions with one pool insert. A failed surrogate fit
+    degrades to a mean predictor for that cycle and is flagged in the cycle
+    record.
     """
     cfg.validate_for(obj)
-    pool = EvaluatedPool()
-    evaluations = 0
-
-    while len(pool) < cfg.initial_pool_size:
-        draw = obj.sample_uniform(rng, 1)
-        if pool.min_distance(draw)[0] <= EXCLUSION_EPSILON:
-            continue  # re-draw instead of double-evaluating the same spot
-        pool.add(Item(point=draw[0], fitness=obj.evaluate(draw[0])))
-        evaluations += 1
+    pool = draw_initial_pool(obj, cfg.initial_pool_size, rng)
+    evaluations = len(pool)
 
     records: list[CycleRecord] = []
     population: Population | None = None
@@ -178,11 +195,11 @@ def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> Run
             population = step_generation(population, model.predict, cfg.ga, obj, rng)
 
         points = select_suggestions(population, pool, cfg.suggestions_per_cycle, model, obj, rng)
-        suggested = [Item(point=p, fitness=obj.evaluate(p)) for p in points]
+        fitness = [obj.evaluate(p) for p in points]
+        suggested = [Item(point=p, fitness=f) for p, f in zip(points, fitness)]
         evaluations += len(suggested)
         accepted = count_accepted(suggested, pool)
-        for item in suggested:
-            pool.add(item)
+        pool.add(points, fitness)
         records.append(
             CycleRecord(
                 cycle_index=cycle,

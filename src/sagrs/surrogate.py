@@ -34,6 +34,9 @@ MODEL_KINDS = ("lsm", "rbf")
 # pool drops such an insert, and no suggestion comes this close to the pool.
 EXCLUSION_EPSILON = 1e-9
 
+# Rows per distance matrix in first_distinct; bounds its memory for large batches.
+DISTINCT_CHUNK_ROWS = 256
+
 # Relative ridge added to the RBF matrix diagonal when the plain fit is
 # singular (near-duplicate points after boundary clipping).
 RBF_RIDGE_FACTOR = 1e-8
@@ -56,8 +59,8 @@ class EvaluatedPool:
 
     Both are read-only arrays that each insert replaces, so a ``tail`` view
     never sees later inserts. Insertion silently drops a point within
-    ``EXCLUSION_EPSILON`` of the pool, keeping the interpolation matrix
-    invertible and the pool a set.
+    ``EXCLUSION_EPSILON`` of the pool or of an earlier point of the same
+    batch, keeping the interpolation matrix invertible and the pool a set.
 
     ``needs_ridge`` turns true once an RBF fit of this pool found the plain
     activation system singular; later fits go straight to the ridged solve.
@@ -67,23 +70,30 @@ class EvaluatedPool:
         self._points = np.empty((0, 0))
         self._fitness = np.empty(0)
         self.needs_ridge = False
-        for item in items or []:
-            self.add(item)
+        if items:
+            if any(item.fitness is None for item in items):
+                raise ValueError("pool items must carry a true fitness")
+            self.add([item.point for item in items], [item.fitness for item in items])
 
     def __len__(self) -> int:
         return self._fitness.size
 
-    def add(self, item: Item) -> bool:
-        """Insert an evaluated item; returns False if it duplicates the pool."""
-        if item.fitness is None:
-            raise ValueError("pool items must carry a true fitness")
-        point = np.asarray(item.point, dtype=float)
-        if self.min_distance(point[None])[0] <= EXCLUSION_EPSILON:
-            return False
-        self._points = np.vstack((self._points, point)) if len(self) else np.array([point])
-        self._fitness = np.append(self._fitness, item.fitness)
+    def add(self, points, fitness) -> np.ndarray:
+        """Insert (k, d) evaluated points with their (k,) fitness.
+
+        Returns the (k,) mask of the inserted rows: the rows that k single
+        inserts in row order would keep. The batch is checked against the
+        pool in one ``min_distance`` call.
+        """
+        points = _check_points(points, self._points.shape[1] if len(self) else None)
+        fitness = np.asarray(fitness, dtype=float)
+        if fitness.shape != (len(points),):
+            raise ValueError(f"need one fitness per point: {len(points)} points, fitness shape {fitness.shape}")
+        keep = first_distinct(points, self.min_distance(points) > EXCLUSION_EPSILON)
+        self._points = np.vstack((self._points, points[keep])) if len(self) else points[keep]
+        self._fitness = np.concatenate((self._fitness, fitness[keep]))
         self._points.flags.writeable = self._fitness.flags.writeable = False
-        return True
+        return keep
 
     def points(self) -> np.ndarray:
         """All pool points as a read-only (n, d) array."""
@@ -140,7 +150,11 @@ class LsmModel:
 
 @dataclass(frozen=True, eq=False)
 class RbfModel:
-    """Interpolating RBF network over the pool points."""
+    """RBF network over the pool points.
+
+    It interpolates the pool only when ``ridge`` is 0. At the pool sizes of
+    real runs every fit carries a ridge, and the model approximates the pool.
+    """
 
     centers: np.ndarray  # (n, d)
     weights: np.ndarray  # (n,)
@@ -156,7 +170,7 @@ class RbfModel:
     def predict(self, points) -> np.ndarray:
         x = _check_points(points, self.centers.shape[1])
         dist = np.sqrt(squared_distances(x, self.centers))
-        return _row_dots(gaussian_bump(dist, self.sigma), self.weights)
+        return _row_dots(_gaussian_bump_in_place(dist, self.sigma), self.weights)
 
 
 @dataclass(frozen=True)
@@ -227,10 +241,39 @@ def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], w[:, None])[:, 0, 0]
 
 
+def first_distinct(points: np.ndarray, clear: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the (k, d) rows that taking them one at a time in order keeps.
+
+    Row i is kept when ``clear[i]`` holds (by default every row is clear) and
+    it is more than EXCLUSION_EPSILON from every earlier kept row. The
+    distances are ``squared_distances`` rows, bitwise the per-point check.
+    Only rows with a near earlier row are decided one at a time. Rows are
+    compared in chunks of DISTINCT_CHUNK_ROWS, so memory grows with k, not k^2.
+    """
+    keep = np.ones(len(points), dtype=bool) if clear is None else np.array(clear, dtype=bool)
+    for start in range(0, len(points), DISTINCT_CHUNK_ROWS):
+        stop = min(start + DISTINCT_CHUNK_ROWS, len(points))
+        dist = np.sqrt(squared_distances(points[start:stop], points[:stop]))
+        close = np.tril(dist <= EXCLUSION_EPSILON, start - 1)  # row r: only rows before start + r
+        for r in np.flatnonzero(keep[start:stop] & close.any(axis=1)):
+            keep[start + r] = not np.any(close[r] & keep[:stop])
+    return keep
+
+
 def gaussian_bump(r, sigma: float):
     """Minimization-adapted Gaussian activation: 0 at r=0, saturating at 1."""
-    r = np.asarray(r, dtype=float)
-    return 1.0 - np.exp(-(r * r) / (2.0 * sigma * sigma))
+    return _gaussian_bump_in_place(np.array(r, dtype=float), sigma)
+
+
+def _gaussian_bump_in_place(r: np.ndarray, sigma: float) -> np.ndarray:
+    """``gaussian_bump`` written over the float array r, bit for bit.
+
+    Dividing by the negated width equals negating the quotient exactly.
+    """
+    np.multiply(r, r, out=r)
+    np.divide(r, -(2.0 * sigma * sigma), out=r)
+    np.exp(r, out=r)
+    return np.subtract(1.0, r, out=r)
 
 
 def design_row(x: np.ndarray) -> np.ndarray:
@@ -288,7 +331,7 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     pts = pool.points()
     dists = pdist(pts)
     sigma = float(np.mean(dists))  # compute_sigma, without a second pdist
-    phi = squareform(gaussian_bump(dists, sigma))  # bump(0) = 0 on the diagonal
+    phi = squareform(_gaussian_bump_in_place(dists, sigma))  # bump(0) = 0 on the diagonal
     targets = pool.fitnesses().reshape(n, 1)
     if not pool.needs_ridge:
         try:
@@ -302,7 +345,9 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     ridge = RBF_RIDGE_FACTOR * float(np.sum(phi)) / n
     phi[np.diag_indices(n)] += ridge
     try:
-        weights = solve(phi, targets)
+        # phi is symmetric and no longer needed: its F-ordered transpose is
+        # factored in place, without the copy LAPACK would make of phi.
+        weights = solve(phi.T, targets, overwrite_a=True)
     except SingularMatrixError as exc:
         raise SurrogateFitError(f"activation matrix is singular even with ridge: {exc}") from exc
     return RbfModel(centers=pts, weights=weights.ravel(), sigma=sigma, ridge=ridge)

@@ -189,8 +189,7 @@ def test_criterion_07_metric_oracles_on_synthetic_logs():
         for index, fits in enumerate(cycle_fitness, start=1):
             items = [Item(np.array([float(next(counter)), 0.0]), f) for f in fits]
             accepted = count_accepted(items, pool)
-            for item in items:
-                pool.add(item)
+            pool.add([item.point for item in items], [item.fitness for item in items])
             records.append(CycleRecord(index, items, accepted,
                                        pool.best_fitness(), True))
         got = (

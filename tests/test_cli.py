@@ -144,9 +144,11 @@ def test_compare_prints_summary_median(tmp_path, capsys):
       "--suggestions", "4", "--reps", "1", "--ga-pop", "10", "--out", "{out}"], "pool_size must be >= 1"),
     (["compare", "--objective", "ackley", "--reps", "1", "--cycles", "3", "--pool-size", "0",
       "--ga-pop", "10", "--out", "{out}"], "pool_size must be >= 1"),
+    (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--window", "0", "--reps", "2",
+      "--cycles", "2", "--pool-size", "10", "--out", "{out}"], "training_window must be >= 1"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
-        "compare-pool-size-0"])
+        "compare-pool-size-0", "run-window-0"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import sagrs.recommender as recommender_mod
-from sagrs.evolution import GaConfig, Population, init_population, step_generation
+import sagrs.surrogate as surrogate_mod
+from sagrs.evolution import GaConfig, Population, init_population, score_population, step_generation
 from sagrs.objectives import Objective, make_objective
 from sagrs.recommender import (
     CycleRecord,
@@ -291,3 +292,73 @@ def test_suggested_items_carry_true_fitness():
     for record in result.cycle_records:
         for item in record.suggested:
             assert item.fitness == obj.evaluate(item.point)
+
+
+# ------------------------------------------------------------ block draws
+
+
+def per_point_initial_pool(obj, size, rng, rejected):
+    """The initial pool drawn, checked and inserted one point at a time."""
+    pool = EvaluatedPool()
+    while len(pool) < size:
+        draw = obj.sample_uniform(rng, 1)
+        if pool.min_distance(draw)[0] <= surrogate_mod.EXCLUSION_EPSILON:
+            rejected["initial"] += 1
+            continue
+        pool.add(draw, [obj.evaluate(draw[0])])
+    return pool
+
+
+def per_point_select(pop, pool, k, model, obj, rng, rejected):
+    """select_suggestions with a uniform fill drawn one point at a time."""
+    eps = surrogate_mod.EXCLUSION_EPSILON
+    score_population(pop, model.predict)
+    pool_distances = pool.min_distance(pop.individuals)
+    chosen = []
+
+    def admissible(point, pool_distance):
+        return pool_distance > eps and all(np.linalg.norm(point - c) > eps for c in chosen)
+
+    for idx in np.argsort(pop.scores, kind="stable"):
+        if len(chosen) == k:
+            break
+        if admissible(pop.individuals[idx], pool_distances[idx]):
+            chosen.append(pop.individuals[idx].copy())
+    while len(chosen) < k:
+        draw = obj.sample_uniform(rng, 1)
+        if admissible(draw[0], pool.min_distance(draw)[0]):
+            chosen.append(draw[0])
+        else:
+            rejected["fill"] += 1
+    return chosen
+
+
+@pytest.mark.parametrize("kind", ["lsm", "rbf"])
+def test_block_draws_match_per_point_reference(monkeypatch, kind):
+    # A wide exclusion radius makes draws collide with earlier ones, and a
+    # 4-individual population leaves at least 2 of 6 suggestions to the fill.
+    for module in (surrogate_mod, recommender_mod):
+        monkeypatch.setattr(module, "EXCLUSION_EPSILON", 3.0)
+    obj = make_objective("ackley")
+    cfg = small_config(model_kind=kind, suggestions_per_cycle=6, cycles=6, initial_pool_size=30,
+                       ga=GaConfig(population_size=4))
+    block_rng, reference_rng = np.random.default_rng(23), np.random.default_rng(23)
+    block = run_sagrs(obj, cfg, block_rng)
+
+    rejected = {"initial": 0, "fill": 0}
+    monkeypatch.setattr(recommender_mod, "draw_initial_pool",
+                        lambda *args: per_point_initial_pool(*args, rejected))
+    monkeypatch.setattr(recommender_mod, "select_suggestions",
+                        lambda *args: per_point_select(*args, rejected))
+    reference = run_sagrs(obj, cfg, reference_rng)
+
+    assert rejected["initial"] > 0 and rejected["fill"] > 0  # the collisions happened
+    assert block_rng.bit_generator.state == reference_rng.bit_generator.state
+    assert len(block.cycle_records) == len(reference.cycle_records)
+    for got, want in zip(block.cycle_records, reference.cycle_records):
+        assert np.array([i.point for i in got.suggested]).tobytes() == \
+            np.array([i.point for i in want.suggested]).tobytes()
+        assert [i.fitness for i in got.suggested] == [i.fitness for i in want.suggested]
+        assert (got.accepted_count, got.best_true_fitness_so_far, got.surrogate_fit_ok) == \
+            (want.accepted_count, want.best_true_fitness_so_far, want.surrogate_fit_ok)
+    assert block.best_fitness == reference.best_fitness

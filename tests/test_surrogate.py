@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sagrs.surrogate as surrogate_mod
 from sagrs.objectives import make_objective
 from sagrs.recommender import SagrsConfig, run_sagrs
 from sagrs.surrogate import (
@@ -42,14 +43,32 @@ GENERAL_POSITION_6 = [(0.3, -0.7), (1.2, 0.4), (-0.5, 1.1), (2.0, -1.3), (-1.7, 
 
 def test_pool_rejects_unevaluated_items():
     with pytest.raises(ValueError):
-        EvaluatedPool().add(Item(np.zeros(2)))
+        EvaluatedPool(items=[Item(np.zeros(2))])
+    with pytest.raises(ValueError):
+        EvaluatedPool().add(np.zeros((2, 2)), [1.0])  # one fitness for two points
 
 
 def test_pool_deduplicates_at_insertion():
     pool = pool_from([(0.0, 0.0)], [1.0])
-    assert not pool.add(Item(np.array([0.0, 5e-10]), 1.0))
-    assert pool.add(Item(np.array([0.0, 1e-6]), 2.0))
+    assert pool.add([[0.0, 5e-10]], [1.0]).tolist() == [False]
+    assert pool.add([[0.0, 1e-6]], [2.0]).tolist() == [True]
     assert len(pool) == 2
+
+
+@pytest.mark.parametrize("chunk_rows", [surrogate_mod.DISTINCT_CHUNK_ROWS, 2])
+def test_batch_insert_keeps_what_single_inserts_keep(monkeypatch, chunk_rows):
+    monkeypatch.setattr(surrogate_mod, "DISTINCT_CHUNK_ROWS", chunk_rows)
+    # row 2 is within epsilon of row 0 of the batch and row 3 of a pool
+    # point; row 4 is within epsilon of the dropped row 2 only, so it stays
+    batch = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0 + 0.9e-9], [5.0, 5.0 + 1e-10],
+                      [1.0, 1.0 + 1.8e-9], [3.0, 3.0]])
+    fitness = np.arange(6.0)
+    batched, single = pool_from([(5.0, 5.0)], [9.0]), pool_from([(5.0, 5.0)], [9.0])
+    mask = batched.add(batch, fitness)
+    singles = [bool(single.add(p[None], [f])[0]) for p, f in zip(batch, fitness)]
+    assert mask.tolist() == singles == [True, True, False, False, True, True]
+    assert batched.points().tobytes() == single.points().tobytes()
+    assert batched.fitnesses().tobytes() == single.fitnesses().tobytes()
 
 
 def test_pool_arrays_equal_stacked_accepted_items():
@@ -59,7 +78,7 @@ def test_pool_arrays_equal_stacked_accepted_items():
     for point in rng.uniform(-1.0, 1.0, size=(40, 3)):
         for candidate in (point, point + 1e-10):  # the second is a duplicate
             item = Item(candidate, float(rng.normal()))
-            if pool.add(item):
+            if pool.add(item.point[None], [item.fitness])[0]:
                 accepted.append(item)
     assert len(accepted) == len(pool) == 40
     points = np.array([it.point for it in accepted], dtype=float)
@@ -100,11 +119,11 @@ def test_pool_tail_window():
 def test_tail_view_and_parent_grow_apart():
     pool = pool_from([(float(i), 0.0) for i in range(5)], range(5))
     view = pool.tail(2)
-    assert pool.add(Item(np.array([9.0, 9.0]), -1.0))
+    assert pool.add([[9.0, 9.0]], [-1.0]).all()
     assert len(view) == 2
     assert view.points().tolist() == [[3.0, 0.0], [4.0, 0.0]]
     assert view.fitnesses().tolist() == [3.0, 4.0]
-    assert view.add(Item(np.array([7.0, 7.0]), -2.0))
+    assert view.add([[7.0, 7.0]], [-2.0]).all()
     assert len(view) == 3 and view.best_fitness() == -2.0
     assert len(pool) == 6 and pool.best_fitness() == -1.0
     assert pool.min_distance([[7.0, 7.0]])[0] > 1.0
@@ -273,8 +292,8 @@ def test_flagged_pool_fits_match_fresh_pools_bitwise():
     obj = make_objective("bohachevsky")
     pool = EvaluatedPool()
     while len(pool) < 300:
-        for p in obj.sample_uniform(rng, 100 if len(pool) == 0 else 8):
-            pool.add(Item(p, obj.evaluate(p)))
+        pts = obj.sample_uniform(rng, 100 if len(pool) == 0 else 8)
+        pool.add(pts, [obj.evaluate(p) for p in pts])
         model = fit_rbf(pool)
         fresh = fit_rbf(pool_from(pool.points(), pool.fitnesses()))
         assert pool.needs_ridge  # at 100 points the plain system is already singular
