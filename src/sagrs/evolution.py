@@ -19,6 +19,14 @@ from .objectives import Objective
 
 FitnessContract = Callable[[np.ndarray], np.ndarray]
 
+# How step_generation draws from the rng; metadata.json records it, since
+# any other order gives other runs from the same seed.
+GA_RNG_LAYOUT = (
+    "one block per kind and generation, in order: parent pairs integers(0, m, (n - m, 2)); "
+    "recombine flags random(n - m); blend weights random((b, d)) for the b recombined rows; "
+    "mutate flags random(n - elitism); noise normal(size=(u, d)) for the u mutated rows"
+)
+
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -100,6 +108,10 @@ def step_generation(
     recombination_prob, else clone the better parent) -> Gaussian mutation
     per individual -> clip to bounds, with the elitism best carried through
     untouched at the front.
+
+    Each kind of random value is drawn as one block, in this order (see
+    ``GA_RNG_LAYOUT``): parent pairs, recombine flags, blend weights of the
+    recombined rows, mutate flags, noise of the mutated rows.
     """
     if len(pop) == 0:
         raise ValueError("population is empty")
@@ -108,34 +120,27 @@ def step_generation(
     score_population(pop, fitness)
 
     order = np.argsort(pop.scores, kind="stable")
-    ranked = pop.individuals[order]
-    ranked_scores = pop.scores[order]
     m = survivor_count(cfg.selection_factor, n)
 
-    next_inds = np.empty((n, d))
-    next_scores = np.full(n, np.nan)
-    next_scored = np.zeros(n, dtype=bool)
-    next_inds[:m] = ranked[:m]
-    next_scores[:m] = ranked_scores[:m]
-    next_scored[:m] = True
+    a, b = order[rng.integers(0, m, size=(n - m, 2))].T  # parent rows of pop
+    blend = rng.random(n - m) < cfg.recombination_prob
+    w = rng.random((np.count_nonzero(blend), d))
+    # the survivors, then per refill slot the better parent: a clone keeps
+    # its cached score, and the blended slots are overwritten below
+    rows = np.concatenate((order[:m], np.where(pop.scores[a] <= pop.scores[b], a, b)))
+    next_inds = pop.individuals[rows]
+    next_scores = pop.scores[rows]
+    next_scored = np.ones(n, dtype=bool)
+    next_inds[m:][blend] = w * pop.individuals[a[blend]] + (1.0 - w) * pop.individuals[b[blend]]
+    next_scores[m:][blend] = np.nan
+    next_scored[m:][blend] = False
 
-    for slot in range(m, n):
-        i, j = rng.integers(0, m, size=2)
-        if rng.random() < cfg.recombination_prob:
-            w = rng.random(d)
-            next_inds[slot] = w * ranked[i] + (1.0 - w) * ranked[j]
-        else:
-            better = i if ranked_scores[i] <= ranked_scores[j] else j
-            next_inds[slot] = ranked[better]
-            next_scores[slot] = ranked_scores[better]  # clone keeps its cached score
-            next_scored[slot] = True
-
-    noise_std = cfg.mutation_scale * obj.width
-    for slot in range(cfg.elitism, n):
-        if rng.random() < cfg.mutation_prob:
-            next_inds[slot] = next_inds[slot] + rng.normal(0.0, 1.0, size=d) * noise_std
-            next_scores[slot] = np.nan
-            next_scored[slot] = False
+    mutate = rng.random(n - cfg.elitism) < cfg.mutation_prob
+    noise = rng.normal(size=(np.count_nonzero(mutate), d))
+    mutants = next_inds[cfg.elitism:]
+    mutants[mutate] = mutants[mutate] + noise * (cfg.mutation_scale * obj.width)
+    next_scores[cfg.elitism:][mutate] = np.nan
+    next_scored[cfg.elitism:][mutate] = False
 
     np.clip(next_inds, obj.lower, obj.upper, out=next_inds)
     return Population(individuals=next_inds, scores=next_scores, scored=next_scored)

@@ -26,7 +26,7 @@ import scipy
 
 from . import __version__, objectives
 from .baselines import run_ga_baseline, run_random_recommender
-from .evolution import GaConfig
+from .evolution import GA_RNG_LAYOUT, GaConfig
 from .objectives import make_objective
 from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
 
@@ -311,6 +311,7 @@ def _metadata(extra: dict) -> dict:
             "clone": "better of two uniformly drawn parents when not recombining",
             "mutation": "per-individual Gaussian, std = mutation_scale * domain width",
         },
+        "ga_rng_layout": GA_RNG_LAYOUT,
         "ga_budget_accounting": "lazy scoring; cached individuals (elites, clones) are never re-evaluated",
         "ga_baseline_inert_columns": "rate and pool_handling are empty for the ga system; "
                                      "cycles, suggestions and pool_size set its evaluation budget",

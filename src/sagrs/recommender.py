@@ -113,60 +113,51 @@ def select_suggestions(
     model: MetaModel,
     obj: Objective,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Pick k suggestion points, best predicted fitness first.
+) -> np.ndarray:
+    """Pick k suggestion points, best predicted fitness first, as a (k, d) array.
 
     Candidates come from the population in ascending surrogate-score order;
     anything within EXCLUSION_EPSILON of a pool item or of an already chosen
-    suggestion is skipped. The pool distances of the whole population come
-    from one call. If the population runs out, the remainder is drawn
-    uniformly from the domain under the same exclusion check: a block of as
-    many points as are missing, checked against the pool in one call and
-    then accepted in row order, repeated until k are chosen. This consumes
-    the same random stream as drawing one point at a time.
+    suggestion is skipped. If the population runs out, the remainder is
+    drawn uniformly from the domain under the same exclusion check.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     score_population(pop, model.predict)
-    pool_distances = pool.min_distance(pop.individuals)
-    chosen: list[np.ndarray] = []
-
-    def admissible(point: np.ndarray, pool_distance: float) -> bool:
-        if pool_distance <= EXCLUSION_EPSILON:
-            return False
-        return all(float(np.linalg.norm(point - c)) > EXCLUSION_EPSILON for c in chosen)
-
-    for idx in np.argsort(pop.scores, kind="stable"):
-        if len(chosen) == k:
-            break
-        candidate = pop.individuals[idx]
-        if admissible(candidate, pool_distances[idx]):
-            chosen.append(candidate.copy())
-    while len(chosen) < k:
-        draws = obj.sample_uniform(rng, k - len(chosen))
-        for draw, pool_distance in zip(draws, pool.min_distance(draws)):
-            if admissible(draw, pool_distance):
-                chosen.append(draw)
-    return chosen
+    return _admissible_rows(pop.individuals[np.argsort(pop.scores, kind="stable")], pool, k, obj, rng)
 
 
 def draw_initial_pool(obj: Objective, size: int, rng: np.random.Generator) -> EvaluatedPool:
     """size uniform points, true-evaluated in draw order, as a new pool.
 
-    A draw within EXCLUSION_EPSILON of an earlier kept one is dropped and
-    replaced by a fresh draw, instead of double-evaluating the same spot.
-    The draws come as one block plus a block per shortfall, which consumes
-    the same random stream as drawing one point at a time.
+    A draw within EXCLUSION_EPSILON of an earlier kept one is replaced by a
+    fresh draw, instead of double-evaluating the same spot.
     """
-    draws = obj.sample_uniform(rng, size)
-    keep = first_distinct(draws)
-    while np.count_nonzero(keep) < size:
-        draws = np.vstack((draws, obj.sample_uniform(rng, size - np.count_nonzero(keep))))
-        keep = first_distinct(draws)
-    points = draws[keep]
     pool = EvaluatedPool()
+    points = _admissible_rows(np.empty((0, obj.dimension)), pool, size, obj, rng)
     pool.add(points, [obj.evaluate(p) for p in points])
     return pool
+
+
+def _admissible_rows(
+    candidates: np.ndarray, pool: EvaluatedPool, k: int, obj: Objective, rng: np.random.Generator
+) -> np.ndarray:
+    """The first k admissible rows of candidates followed by uniform draws.
+
+    A row is admissible when it is more than EXCLUSION_EPSILON from every
+    pool item and from every earlier admissible row. The draws come in blocks
+    of as many rows as are missing, until k are admissible; this consumes the
+    same random stream as drawing one point at a time. The candidates and
+    each block are checked against the pool in one call.
+    """
+    clear = pool.min_distance(candidates) > EXCLUSION_EPSILON
+    keep = first_distinct(candidates, clear)
+    while np.count_nonzero(keep) < k:
+        draws = obj.sample_uniform(rng, k - np.count_nonzero(keep))
+        candidates = np.vstack((candidates, draws))
+        clear = np.concatenate((clear, pool.min_distance(draws) > EXCLUSION_EPSILON))
+        keep = first_distinct(candidates, clear)
+    return candidates[keep][:k]
 
 
 def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> RunResult:

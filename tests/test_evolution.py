@@ -161,3 +161,100 @@ def test_best_k_tie_breaks_and_bounds():
         best_k(tied, 0)
     with pytest.raises(ValueError):
         best_k(Population(individuals=np.zeros((2, 1))), 1)
+
+
+def test_generation_keeps_elites_and_clone_scores_and_unscores_the_rest():
+    obj = make_objective("ackley")
+    cfg = GaConfig(population_size=40, selection_factor=0.6, mutation_prob=0.3,
+                   recombination_prob=0.4, mutation_scale=0.5, elitism=3)
+    rng = np.random.default_rng(31)
+    pop = init_population(obj, cfg, rng)
+    for _ in range(20):
+        score_population(pop, sphere)
+        old = {row.tobytes(): score for row, score in zip(pop.individuals, pop.scores)}
+        ranked = np.argsort(pop.scores, kind="stable")
+        nxt = step_generation(pop, sphere, cfg, obj, rng)
+        elites = ranked[:cfg.elitism]
+        assert nxt.individuals[:cfg.elitism].tobytes() == pop.individuals[elites].tobytes()
+        assert nxt.scores[:cfg.elitism].tobytes() == pop.scores[elites].tobytes()
+        for row, score, scored in zip(nxt.individuals, nxt.scores, nxt.scored):
+            if scored:  # a survivor or a clone: an old individual with its cached score
+                assert old[row.tobytes()] == score
+            else:
+                assert np.isnan(score)
+        # rows that are no old individual (mutated or blended) are never scored
+        assert not any(s for row, s in zip(nxt.individuals, nxt.scored) if row.tobytes() not in old)
+        assert not nxt.fully_scored
+        assert np.all(nxt.individuals >= obj.lower) and np.all(nxt.individuals <= obj.upper)
+        pop = nxt
+
+
+@pytest.mark.parametrize("operator", ["recombination", "mutation"])
+def test_operator_rates_within_binomial_bounds(operator):
+    # With one operator switched off, the unscored rows a generation leaves
+    # are exactly the rows the other operator touched.
+    obj = make_objective("bohachevsky")
+    p = 0.05 if operator == "recombination" else 0.1
+    cfg = GaConfig(population_size=50, recombination_prob=p if operator == "recombination" else 0.0,
+                   mutation_prob=p if operator == "mutation" else 0.0)
+    m = survivor_count(cfg.selection_factor, cfg.population_size)
+    slots = cfg.population_size - (m if operator == "recombination" else cfg.elitism)
+    rng = np.random.default_rng(2000)
+    pop = init_population(obj, cfg, rng)
+    touched = 0
+    generations = 2000
+    for _ in range(generations):
+        pop = step_generation(pop, sphere, cfg, obj, rng)
+        touched += int(np.count_nonzero(~pop.scored))
+    trials = generations * slots
+    assert abs(touched - p * trials) <= 4.0 * np.sqrt(trials * p * (1.0 - p))
+
+
+def looped_generation(pop, fitness, cfg, obj, rng):
+    """step_generation written slot by slot over the declared block draws."""
+    score_population(pop, fitness)
+    n, d = pop.individuals.shape
+    order = np.argsort(pop.scores, kind="stable")
+    ranked, ranked_scores = pop.individuals[order], pop.scores[order]
+    m = survivor_count(cfg.selection_factor, n)
+    pairs = rng.integers(0, m, size=(n - m, 2))
+    recombine = rng.random(n - m) < cfg.recombination_prob
+    weights = iter(rng.random((int(recombine.sum()), d)))
+    inds, scores, scored = list(ranked[:m]), list(ranked_scores[:m]), [True] * m
+    for (i, j), blend in zip(pairs, recombine):
+        if blend:
+            w = next(weights)
+            inds.append(w * ranked[i] + (1.0 - w) * ranked[j])
+            scores.append(np.nan)
+            scored.append(False)
+        else:
+            better = i if ranked_scores[i] <= ranked_scores[j] else j
+            inds.append(ranked[better])
+            scores.append(ranked_scores[better])
+            scored.append(True)
+    mutate = rng.random(n - cfg.elitism) < cfg.mutation_prob
+    noise = iter(rng.normal(size=(int(mutate.sum()), d)))
+    for slot in cfg.elitism + np.flatnonzero(mutate):
+        inds[slot] = inds[slot] + next(noise) * (cfg.mutation_scale * obj.width)
+        scores[slot] = np.nan
+        scored[slot] = False
+    return Population(np.clip(np.array(inds), obj.lower, obj.upper), np.array(scores), np.array(scored))
+
+
+@pytest.mark.parametrize("cfg", [
+    GaConfig(),
+    GaConfig(population_size=30, selection_factor=0.5, mutation_prob=0.5, recombination_prob=0.5, elitism=2),
+    GaConfig(population_size=7, selection_factor=1.0, mutation_prob=1.0, recombination_prob=1.0, elitism=0),
+])
+def test_generation_matches_slot_by_slot_reference(cfg):
+    obj = make_objective("schwefel", 3)
+    rng, reference_rng = np.random.default_rng(55), np.random.default_rng(55)
+    pop = init_population(obj, cfg, rng)
+    reference = init_population(obj, cfg, reference_rng)
+    for _ in range(30):
+        pop = step_generation(pop, sphere, cfg, obj, rng)
+        reference = looped_generation(reference, sphere, cfg, obj, reference_rng)
+        assert pop.individuals.tobytes() == reference.individuals.tobytes()
+        assert pop.scores.tobytes() == reference.scores.tobytes()
+        assert pop.scored.tolist() == reference.scored.tolist()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
