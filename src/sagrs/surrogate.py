@@ -71,8 +71,6 @@ class EvaluatedPool:
         self._fitness = np.empty(0)
         self.needs_ridge = False
         if items:
-            if any(item.fitness is None for item in items):
-                raise ValueError("pool items must carry a true fitness")
             self.add([item.point for item in items], [item.fitness for item in items])
 
     def __len__(self) -> int:
@@ -89,6 +87,8 @@ class EvaluatedPool:
         fitness = np.asarray(fitness, dtype=float)
         if fitness.shape != (len(points),):
             raise ValueError(f"need one fitness per point: {len(points)} points, fitness shape {fitness.shape}")
+        if np.isnan(fitness).any():  # also a None fitness, which becomes NaN
+            raise ValueError("pool items must carry a true fitness")
         keep = first_distinct(points, self.min_distance(points) > EXCLUSION_EPSILON)
         self._points = np.vstack((self._points, points[keep])) if len(self) else points[keep]
         self._fitness = np.concatenate((self._fitness, fitness[keep]))
@@ -170,7 +170,7 @@ class RbfModel:
     def predict(self, points) -> np.ndarray:
         x = _check_points(points, self.centers.shape[1])
         dist = np.sqrt(squared_distances(x, self.centers))
-        return _row_dots(_gaussian_bump_in_place(dist, self.sigma), self.weights)
+        return _row_dots(gaussian_bump(dist, self.sigma), self.weights)
 
 
 @dataclass(frozen=True)
@@ -260,14 +260,10 @@ def first_distinct(points: np.ndarray, clear: np.ndarray | None = None) -> np.nd
     return keep
 
 
-def gaussian_bump(r, sigma: float):
-    """Minimization-adapted Gaussian activation: 0 at r=0, saturating at 1."""
-    return _gaussian_bump_in_place(np.array(r, dtype=float), sigma)
+def gaussian_bump(r: np.ndarray, sigma: float) -> np.ndarray:
+    """Minimization-adapted Gaussian activation, written over the float array r.
 
-
-def _gaussian_bump_in_place(r: np.ndarray, sigma: float) -> np.ndarray:
-    """``gaussian_bump`` written over the float array r, bit for bit.
-
+    Returns r holding 1 - exp(-r^2 / (2 sigma^2)): 0 at r=0, saturating at 1.
     Dividing by the negated width equals negating the quotient exactly.
     """
     np.multiply(r, r, out=r)
@@ -331,7 +327,7 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     pts = pool.points()
     dists = pdist(pts)
     sigma = float(np.mean(dists))  # compute_sigma, without a second pdist
-    phi = squareform(_gaussian_bump_in_place(dists, sigma))  # bump(0) = 0 on the diagonal
+    phi = squareform(gaussian_bump(dists, sigma))  # bump(0) = 0 on the diagonal
     targets = pool.fitnesses().reshape(n, 1)
     if not pool.needs_ridge:
         try:

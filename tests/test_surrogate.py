@@ -43,6 +43,10 @@ GENERAL_POSITION_6 = [(0.3, -0.7), (1.2, 0.4), (-0.5, 1.1), (2.0, -1.3), (-1.7, 
 
 def test_pool_rejects_unevaluated_items():
     with pytest.raises(ValueError):
+        EvaluatedPool().add(np.zeros((1, 2)), [None])
+    with pytest.raises(ValueError):
+        EvaluatedPool().add(np.zeros((1, 2)), [math.nan])
+    with pytest.raises(ValueError):
         EvaluatedPool(items=[Item(np.zeros(2))])
     with pytest.raises(ValueError):
         EvaluatedPool().add(np.zeros((2, 2)), [1.0])  # one fitness for two points
@@ -245,7 +249,8 @@ def test_compute_sigma_matches_pairwise_mean_oracle():
 
 def test_gaussian_bump_shape():
     radii = np.linspace(0.0, 50.0, 400)
-    values = gaussian_bump(radii, sigma=3.0)
+    values = gaussian_bump(radii.copy(), sigma=3.0)
+    assert np.array_equal(values, bump_reference(radii, 3.0))
     assert values[0] == 0.0
     assert np.all(np.diff(values) >= 0.0)
     assert np.all(values <= 1.0)
@@ -256,7 +261,7 @@ def test_fit_rbf_two_point_hand_solve():
     pool = pool_from([(0.0, 0.0), (3.0, 4.0)], [t1, t2])
     model = fit_rbf(pool)
     assert model.sigma == pytest.approx(5.0)
-    phi_d = float(gaussian_bump(5.0, 5.0))
+    phi_d = 1.0 - math.exp(-0.5)
     # phi(0) = 0 makes the 2x2 system anti-diagonal
     assert np.allclose(model.weights, [t2 / phi_d, t1 / phi_d], atol=1e-10)
 
@@ -398,6 +403,10 @@ def test_refit_is_bitwise_stable():
 # formulas: every seeded run's output depends on them.
 
 
+def bump_reference(r, sigma):
+    return 1.0 - np.exp(-(r * r) / (2.0 * sigma * sigma))
+
+
 def lsm_row_reference(model, x):
     d = model.dimension
     return float(model.theta[0] + model.theta[1 : d + 1] @ x + model.theta[d + 1 :] @ (x * x))
@@ -405,7 +414,7 @@ def lsm_row_reference(model, x):
 
 def rbf_row_reference(model, x):
     dist = np.sqrt(np.sum((model.centers - x) ** 2, axis=1))
-    return float(model.weights @ gaussian_bump(dist, model.sigma))
+    return float(model.weights @ bump_reference(dist, model.sigma))
 
 
 def min_distance_row_reference(pool, x):
