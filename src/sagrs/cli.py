@@ -143,6 +143,9 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 1
         try:
             rows = read_runs_csv(path)
+        except OSError as exc:  # a directory, or a file that cannot be read
+            print(f"cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         except ValueError as exc:
             parser.error(str(exc))
         json.dump(aggregate_rows(rows), sys.stdout, indent=2, sort_keys=True)

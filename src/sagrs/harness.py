@@ -13,6 +13,7 @@ in an output directory as
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import itertools
 import json
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.linalg
 
 from . import __version__, objectives
 from .baselines import run_ga_baseline, run_random_recommender
@@ -289,15 +291,32 @@ def _blas(library) -> str:
     return f"{info.get('name')} {info.get('version')}"
 
 
+def _openblas_threads() -> int | str:
+    """Threads of the OpenBLAS that scipy's LAPACK links, read without setting it.
+
+    ``scipy_openblas_get_num_threads`` is looked up through scipy's LAPACK
+    extension, whose dependencies include its bundled OpenBLAS; "unknown"
+    where the symbol is missing.
+    """
+    try:
+        get_threads = ctypes.CDLL(scipy.linalg._flapack.__file__).scipy_openblas_get_num_threads
+    except (AttributeError, OSError):
+        return "unknown"
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
+
+
 def _metadata(extra: dict) -> dict:
     """Everything the numbers depend on that is not in the row schema."""
     return {
         "package_version": __version__,
-        # LU and matrix-product bits depend on the LAPACK/BLAS build
+        # factorization and matrix-product bits depend on the LAPACK/BLAS
+        # build and its thread count
         "versions": {
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "blas": {"numpy": _blas(np), "scipy": _blas(scipy)},
+            "scipy_openblas_threads": _openblas_threads(),
         },
         "quartile_method": "linear interpolation between closest ranks",
         "seed_derivation": "base_seed XOR first 8 bytes of sha256 over the run coordinates",
@@ -305,6 +324,11 @@ def _metadata(extra: dict) -> dict:
         "rbf_sigma_method": "mean pairwise Euclidean distance over the training pool",
         "rbf_activation": "1 - exp(-r^2 / (2 sigma^2))",
         "lsm_form": "second-order polynomial without cross terms, normal-equation solve",
+        "linear_solves": {
+            "lsm_normal_equations": "LU with partial pivoting (LAPACK dgetrf/dgetrs)",
+            "rbf_plain": "LU with partial pivoting (LAPACK dgetrf/dgetrs)",
+            "rbf_ridged": "Bunch-Kaufman symmetric-indefinite LDL^T (LAPACK dsytrf/dsytrs)",
+        },
         "ga_operators": {
             "selection": "truncation; mating pool = ceil(selection_factor * population)",
             "recombination": "per-coordinate arithmetic blend with uniform weights",

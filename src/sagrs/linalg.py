@@ -1,18 +1,21 @@
-"""Dense linear solve with an explicit singularity check.
+"""Dense linear solves with an explicit singularity check.
 
-Matrices are 2-D float64 numpy arrays. The solver is an LU solve with
-partial pivoting and an explicit singularity check, because both surrogate
-fits need to detect rank-deficient systems (coincident pool points make
-the RBF interpolation matrix exactly singular) and regularize.
+Matrices are 2-D float64 numpy arrays. Both surrogate fits need to detect
+rank-deficient systems (coincident pool points make the RBF activation
+matrix exactly singular) and regularize, so each solve checks its pivots
+against the scale of the rows they came from:
+
+* ``solve`` -- any square system, by LU with partial pivoting (LAPACK
+  ``dgetrf``/``dgetrs``).
+* ``solve_symmetric`` -- a symmetric, possibly indefinite system, by the
+  Bunch-Kaufman factorization L D L^T with 1x1 and 2x2 pivot blocks
+  (LAPACK ``dsytrf``/``dsytrs``), about half the flops of the LU.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
+import scipy.linalg.lapack as lapack
 
 # A pivot below this fraction of the matrix row scale is treated as zero.
 SINGULARITY_TOL = 1e-12
@@ -29,6 +32,25 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
+def _check_system(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a and b as float matrices, and the row scale of a (its largest |entry| per row).
+
+    The scale is max(max(row), -min(row)), bitwise the largest |entry|
+    without an n^2 abs temporary. Raises SingularMatrixError on a zero row.
+    """
+    a = _as_matrix(a, "a")
+    b = _as_matrix(b, "b")
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
+    if b.shape[0] != n:
+        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
+    row_scale = np.maximum(a.max(axis=1), -a.min(axis=1))
+    if np.any(row_scale == 0.0):
+        raise SingularMatrixError("matrix has an all-zero row")
+    return a, b, row_scale
+
+
 def solve(a, b, overwrite_a: bool = False) -> np.ndarray:
     """Solve a @ x = b for square a via partially pivoted LU.
 
@@ -38,29 +60,56 @@ def solve(a, b, overwrite_a: bool = False) -> np.ndarray:
     be written over a, which then avoids a copy if a is a Fortran-ordered
     float64 array.
     """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
-    if b.shape[0] != n:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
-
-    row_scale = np.max(np.abs(a), axis=1)
-    if np.any(row_scale == 0.0):
-        raise SingularMatrixError("matrix has an all-zero row")
-
-    with warnings.catch_warnings():
-        # scipy warns instead of raising when U has an exact zero pivot;
-        # the explicit check below covers that case and near-zero ones.
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite_a, check_finite=False)
+    a, b, row_scale = _check_system(a, b)
+    lu, piv, _ = lapack.dgetrf(a, overwrite_a=overwrite_a)
 
     # Apply the factorization's row interchanges to the row scales, so each
     # pivot is compared with the scale of the original row it came from.
-    pivot_row_scale = scipy.linalg.lapack.dlaswp(row_scale.reshape(n, 1), piv)[:, 0]
+    pivot_row_scale = lapack.dlaswp(row_scale.reshape(-1, 1), piv)[:, 0]
     pivots = np.abs(np.diag(lu))
     if not np.all(np.isfinite(lu)) or np.any(pivots < SINGULARITY_TOL * pivot_row_scale):
         raise SingularMatrixError("matrix is singular or near-singular")
 
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return lapack.dgetrs(lu, piv, b)[0]
+
+
+def solve_symmetric(a, b) -> np.ndarray:
+    """Solve a @ x = b for symmetric, possibly indefinite a via Bunch-Kaufman.
+
+    Only one triangle of a is read, and the factorization is written over a
+    when a is a C- or Fortran-ordered float64 array (a symmetric C-ordered
+    array is factored through its transpose). Raises SingularMatrixError,
+    with the checks of ``solve``, on an all-zero row, an exactly zero pivot,
+    a non-finite factor, and a 1x1 pivot or a 2x2 pivot block's smaller
+    |eigenvalue| below SINGULARITY_TOL times the scale of the original row
+    it came from (for a block, the larger scale of its two rows).
+    """
+    a, b, row_scale = _check_system(a, b)
+    lwork = int(lapack.dsytrf_lwork(a.shape[0])[0])
+    ldu, ipiv, info = lapack.dsytrf(a.T if a.flags.c_contiguous else a, lwork=lwork, overwrite_a=True)
+    if info > 0 or not np.all(np.isfinite(ldu)):
+        raise SingularMatrixError("matrix is singular or near-singular")
+
+    # The upper-triangle ipiv is 1-based and read from the last position
+    # down: ipiv[k] > 0 swapped rows k and ipiv[k] - 1 and makes D[k, k] a
+    # 1x1 pivot; ipiv[k-1] == ipiv[k] < 0 swapped rows k - 1 and -ipiv[k] - 1
+    # and makes D[k-1:k+1, k-1:k+1] a 2x2 block. So the negative entries,
+    # in order, pair up into the blocks.
+    first, second = np.flatnonzero(ipiv < 0).reshape(-1, 2).T
+    swaps = np.abs(ipiv) - 1
+    swaps[second] = second
+    # Applying the swaps in LAPACK's order to the row scales gives each
+    # position the scale of the original row that ended up there.
+    scale = lapack.dlaswp(row_scale.reshape(-1, 1), swaps, inc=-1)[:, 0]
+
+    d = np.diagonal(ldu)
+    pivot = np.abs(d)
+    # a block's eigenvalues are half_sum +- radius; both rows get the smaller |eigenvalue|
+    half_sum = (d[first] + d[second]) / 2
+    radius = np.hypot((d[first] - d[second]) / 2, ldu[first, second])
+    pivot[first] = pivot[second] = np.abs(np.abs(half_sum) - radius)
+    scale[first] = scale[second] = np.maximum(scale[first], scale[second])
+    if np.any(pivot < SINGULARITY_TOL * scale):
+        raise SingularMatrixError("matrix is singular or near-singular")
+
+    return lapack.dsytrs(ldu, ipiv, b)[0]

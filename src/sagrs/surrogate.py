@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .linalg import SingularMatrixError, solve
+from .linalg import SingularMatrixError, solve, solve_symmetric
 
 MODEL_KINDS = ("lsm", "rbf")
 
@@ -319,6 +319,10 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     plain system was singular once is marked and skips the plain attempt
     afterwards: a pool only grows, and no growing pool was seen to get a
     solvable plain system back.
+    The plain attempt is a pivoted LU (``solve``), whose singularity check
+    decides when the model stops interpolating. The ridged system is
+    symmetric and indefinite (zero diagonal plus a small ridge), so it is
+    factored by Bunch-Kaufman (``solve_symmetric``), about half the LU's work.
     Raises SurrogateFitError when the ridged system is singular too.
     """
     n = len(pool)
@@ -341,9 +345,7 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     ridge = RBF_RIDGE_FACTOR * float(np.sum(phi)) / n
     phi[np.diag_indices(n)] += ridge
     try:
-        # phi is symmetric and no longer needed: its F-ordered transpose is
-        # factored in place, without the copy LAPACK would make of phi.
-        weights = solve(phi.T, targets, overwrite_a=True)
+        weights = solve_symmetric(phi, targets)  # factored in place; phi is not used again
     except SingularMatrixError as exc:
         raise SurrogateFitError(f"activation matrix is singular even with ridge: {exc}") from exc
     return RbfModel(centers=pts, weights=weights.ravel(), sigma=sigma, ridge=ridge)

@@ -85,6 +85,20 @@ def test_stats_missing_file(tmp_path):
     assert cli_main(["stats", str(tmp_path / "nope.csv")]) == 1
 
 
+def test_stats_unreadable_path_is_one_line_usage_error(tmp_path, capsys, monkeypatch):
+    assert cli_main(["stats", str(tmp_path)]) == 2  # a directory
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tmp_path) in err and "Traceback" not in err
+
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("sagrs.cli.read_runs_csv", unreadable)
+    (tmp_path / "runs.csv").write_text("")
+    assert cli_main(["stats", str(tmp_path / "runs.csv")]) == 2
+    assert capsys.readouterr().err == f"cannot read {tmp_path / 'runs.csv'}: Permission denied\n"
+
+
 def test_compare_preset_row_count(tmp_path):
     assert cli_main(["compare", "--objective", "bohachevsky", "--seed", "7",
                      "--out", str(tmp_path / "cmp"), "--reps", "2",

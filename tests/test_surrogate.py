@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.spatial.distance import pdist, squareform
 
 import sagrs.surrogate as surrogate_mod
 from sagrs.objectives import make_objective
@@ -306,6 +308,24 @@ def test_flagged_pool_fits_match_fresh_pools_bitwise():
         assert model.sigma == fresh.sigma
         assert model.ridge == fresh.ridge
         assert np.array_equal(model.weights, fresh.weights)
+
+
+@pytest.mark.parametrize("size", [150, 300, 500, 900])
+def test_ridged_fit_matches_lu_reference(size):
+    # The ridged system is factored by Bunch-Kaufman; a general LU of the
+    # same ridged matrix gives the same model to rounding.
+    rng = np.random.default_rng(size + 1)
+    obj = make_objective("bohachevsky")
+    pts = obj.sample_uniform(rng, size)
+    pool = pool_from(pts, [obj.evaluate(p) for p in pts])
+    model = fit_rbf(pool)
+    assert model.ridge > 0.0
+    phi = squareform(bump_reference(pdist(pts), model.sigma)) + model.ridge * np.eye(size)
+    weights = scipy.linalg.lu_solve(scipy.linalg.lu_factor(phi), pool.fitnesses())
+    assert np.max(np.abs(model.weights - weights)) <= 1e-6 * np.max(np.abs(weights))
+    probes = np.vstack([obj.sample_uniform(rng, 200), pts[:20]])
+    want = RbfModel(centers=pts, weights=weights, sigma=model.sigma, ridge=model.ridge).predict(probes)
+    assert np.max(np.abs(model.predict(probes) - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_tail_view_of_flagged_pool_is_unflagged():
