@@ -16,7 +16,7 @@ from .baselines import (
     run_ga_baseline,
     run_random_recommender,
 )
-from .evolution import GaConfig, Population, best_k, init_population, step_generation
+from .evolution import GaConfig, Population, init_population, step_generation
 from .harness import (
     ComparisonResult,
     ExperimentResult,
@@ -39,13 +39,11 @@ from .recommender import (
 )
 from .surrogate import (
     EvaluatedPool,
-    Item,
     LsmModel,
     MeanModel,
     MetaModel,
     RbfModel,
     SurrogateFitError,
-    compute_sigma,
     fit,
     fit_lsm,
     fit_or_fallback,
@@ -54,15 +52,14 @@ from .surrogate import (
 
 __all__ = [
     "BaselineResult",
-    "BudgetedObjective",
     "BudgetExhaustedError",
+    "BudgetedObjective",
     "ComparisonResult",
     "CycleRecord",
     "EvaluatedPool",
     "ExperimentResult",
     "ExperimentSpec",
     "GaConfig",
-    "Item",
     "LsmModel",
     "MeanModel",
     "MetaModel",
@@ -75,8 +72,6 @@ __all__ = [
     "SummaryStats",
     "SurrogateFitError",
     "acceptance_rate",
-    "best_k",
-    "compute_sigma",
     "convergence_cycle",
     "count_accepted",
     "fit",

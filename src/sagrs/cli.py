@@ -30,6 +30,7 @@ from .harness import (
     run_experiment,
 )
 from .objectives import OBJECTIVE_NAMES
+from .recommender import POOL_HANDLING_MODES
 
 SWEEP_RATES = (1, 2, 4, 8, 16, 32, 64)
 SWEEP_SUGGESTIONS = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--rate", dest="rates", type=int, nargs="+")
     run_p.add_argument("--suggestions", type=int, nargs="+")
     run_p.add_argument("--cycles", type=int, nargs="+")
-    run_p.add_argument("--pool-handling", choices=("reset", "no_reset"), nargs="+")
+    run_p.add_argument("--pool-handling", choices=POOL_HANDLING_MODES, nargs="+")
     run_p.add_argument("--window", dest="training_window", type=int, help="surrogate training window")
 
     for name, helptext in (

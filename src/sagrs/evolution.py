@@ -65,10 +65,6 @@ class Population:
     def __len__(self) -> int:
         return self.individuals.shape[0]
 
-    @property
-    def fully_scored(self) -> bool:
-        return bool(np.all(self.scored))
-
 
 def survivor_count(selection_factor: float, population_size: int) -> int:
     """Mating-pool size under truncation selection."""
@@ -144,13 +140,3 @@ def step_generation(
 
     np.clip(next_inds, obj.lower, obj.upper, out=next_inds)
     return Population(individuals=next_inds, scores=next_scores, scored=next_scored)
-
-
-def best_k(pop: Population, k: int) -> list[tuple[np.ndarray, float]]:
-    """The k lowest-score individuals, ties broken by lower index."""
-    if not pop.fully_scored:
-        raise ValueError("population must be fully scored")
-    if not 1 <= k <= len(pop):
-        raise ValueError(f"k must be in [1, {len(pop)}], got {k}")
-    order = np.argsort(pop.scores, kind="stable")[:k]
-    return [(pop.individuals[i].copy(), float(pop.scores[i])) for i in order]

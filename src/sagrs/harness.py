@@ -30,7 +30,7 @@ from . import __version__, objectives
 from .baselines import run_ga_baseline, run_random_recommender
 from .evolution import GA_RNG_LAYOUT, GaConfig
 from .objectives import make_objective
-from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
+from .recommender import EXCLUSION_EPSILON, POOL_HANDLING_MODES, SagrsConfig, run_sagrs
 
 SYSTEMS = ("sagrs-lsm", "sagrs-rbf", "ga", "random-lsm", "random-rbf")
 
@@ -84,6 +84,10 @@ def derive_seed(base_seed: int, *parts) -> int:
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & (2**63 - 1)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentSpec:
     objective: str
@@ -107,6 +111,16 @@ class ExperimentSpec:
         self.cycles = tuple(self.cycles)
         self.pool_handling = tuple(self.pool_handling)
         self.out_dir = Path(self.out_dir)
+        # A config file bypasses argparse's types and choices, so check them here.
+        window = () if self.training_window is None else ("training_window",)
+        for name in ("dimension", "pool_size", "repetitions", "base_seed", "jobs", *window):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for axis_name in ("rates", "suggestions", "cycles"):
+            if not all(map(_is_int, getattr(self, axis_name))):
+                raise ValueError(f"{axis_name} must be integers, got {getattr(self, axis_name)!r}")
+        if any(mode not in POOL_HANDLING_MODES for mode in self.pool_handling):
+            raise ValueError(f"pool_handling must be among {POOL_HANDLING_MODES}, got {self.pool_handling!r}")
         # Rejects an unknown objective or a dimension it does not support.
         # Called through the module: the harness's own make_objective is the
         # name runs resolve, and perfbench swaps it for one that logs a run.

@@ -51,17 +51,15 @@ def _check_system(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, row_scale
 
 
-def solve(a, b, overwrite_a: bool = False) -> np.ndarray:
+def solve(a, b) -> np.ndarray:
     """Solve a @ x = b for square a via partially pivoted LU.
 
     Raises SingularMatrixError when any pivot falls below SINGULARITY_TOL
     relative to the row scale of a, so callers can fall back or regularize
-    instead of silently consuming garbage. With ``overwrite_a`` the LU may
-    be written over a, which then avoids a copy if a is a Fortran-ordered
-    float64 array.
+    instead of silently consuming garbage.
     """
     a, b, row_scale = _check_system(a, b)
-    lu, piv, _ = lapack.dgetrf(a, overwrite_a=overwrite_a)
+    lu, piv, _ = lapack.dgetrf(a)
 
     # Apply the factorization's row interchanges to the row scales, so each
     # pivot is compared with the scale of the original row it came from.

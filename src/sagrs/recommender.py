@@ -19,7 +19,6 @@ from .surrogate import (
     EXCLUSION_EPSILON,
     MODEL_KINDS,
     EvaluatedPool,
-    Item,
     MetaModel,
     first_distinct,
     fit_or_fallback,
@@ -65,7 +64,8 @@ class SagrsConfig:
 @dataclass(eq=False)
 class CycleRecord:
     cycle_index: int  # 1-based
-    suggested: list[Item]
+    suggested: np.ndarray  # (k, d) points, in the order select_suggestions chose them
+    suggested_fitness: np.ndarray  # (k,) true fitness of each suggested point
     accepted_count: int
     best_true_fitness_so_far: float
     surrogate_fit_ok: bool
@@ -80,10 +80,9 @@ class RunResult:
     true_evaluations_used: int
 
 
-def count_accepted(suggested: list[Item], pool_before: EvaluatedPool) -> int:
-    """Suggestions evaluated strictly better than the pool's worst item."""
-    worst = pool_before.worst_fitness()
-    return sum(1 for item in suggested if item.fitness < worst)
+def count_accepted(fitness: np.ndarray, pool_before: EvaluatedPool) -> int:
+    """Suggestions whose true fitness is strictly better than the pool's worst item."""
+    return int(np.count_nonzero(np.asarray(fitness) < pool_before.worst_fitness()))
 
 
 def convergence_cycle(records: list[CycleRecord]) -> int:
@@ -186,15 +185,15 @@ def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> Run
             population = step_generation(population, model.predict, cfg.ga, obj, rng)
 
         points = select_suggestions(population, pool, cfg.suggestions_per_cycle, model, obj, rng)
-        fitness = [obj.evaluate(p) for p in points]
-        suggested = [Item(point=p, fitness=f) for p, f in zip(points, fitness)]
-        evaluations += len(suggested)
-        accepted = count_accepted(suggested, pool)
+        fitness = np.array([obj.evaluate(p) for p in points], dtype=float)
+        evaluations += len(points)
+        accepted = count_accepted(fitness, pool)
         pool.add(points, fitness)
         records.append(
             CycleRecord(
                 cycle_index=cycle,
-                suggested=suggested,
+                suggested=points,
+                suggested_fitness=fitness,
                 accepted_count=accepted,
                 best_true_fitness_so_far=pool.best_fitness(),
                 surrogate_fit_ok=fit_ok,

@@ -46,14 +46,6 @@ class SurrogateFitError(RuntimeError):
     """Raised when a surrogate cannot be fit to the given pool."""
 
 
-@dataclass(frozen=True, eq=False)
-class Item:
-    """A search-space point, optionally paired with its true fitness."""
-
-    point: np.ndarray
-    fitness: float | None = None
-
-
 class EvaluatedPool:
     """Ordered true-evaluated points and their fitness; also the exclusion set.
 
@@ -66,12 +58,10 @@ class EvaluatedPool:
     activation system singular; later fits go straight to the ridged solve.
     """
 
-    def __init__(self, items: list[Item] | None = None):
+    def __init__(self):
         self._points = np.empty((0, 0))
         self._fitness = np.empty(0)
         self.needs_ridge = False
-        if items:
-            self.add([item.point for item in items], [item.fitness for item in items])
 
     def __len__(self) -> int:
         return self._fitness.size
@@ -272,11 +262,6 @@ def gaussian_bump(r: np.ndarray, sigma: float) -> np.ndarray:
     return np.subtract(1.0, r, out=r)
 
 
-def design_row(x: np.ndarray) -> np.ndarray:
-    """Feature row (1, x_1..x_d, x_1^2..x_d^2) for the quadratic surface."""
-    return np.concatenate(([1.0], x, x * x))
-
-
 def fit_lsm(pool: EvaluatedPool) -> LsmModel:
     """Fit the quadratic surface by solving the normal equations.
 
@@ -302,13 +287,6 @@ def fit_lsm(pool: EvaluatedPool) -> LsmModel:
     return LsmModel(theta=theta.ravel())
 
 
-def compute_sigma(pool: EvaluatedPool) -> float:
-    """Mean Euclidean distance over all unordered pairs of pool points."""
-    if len(pool) < 2:
-        raise SurrogateFitError("kernel width needs at least 2 pool items")
-    return float(np.mean(pdist(pool.points())))
-
-
 def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     """Fit RBF weights by solving the activation system.
 
@@ -330,7 +308,7 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
         raise SurrogateFitError("RBF interpolation needs at least 2 pool items")
     pts = pool.points()
     dists = pdist(pts)
-    sigma = float(np.mean(dists))  # compute_sigma, without a second pdist
+    sigma = float(np.mean(dists))  # mean pairwise distance
     phi = squareform(gaussian_bump(dists, sigma))  # bump(0) = 0 on the diagonal
     targets = pool.fitnesses().reshape(n, 1)
     if not pool.needs_ridge:

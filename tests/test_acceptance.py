@@ -27,14 +27,22 @@ from sagrs.recommender import (
 from sagrs.surrogate import (
     EXCLUSION_EPSILON,
     EvaluatedPool,
-    Item,
-    compute_sigma,
-    design_row,
     fit_lsm,
     fit_rbf,
 )
 
 OBJECTIVES = ("bohachevsky", "ackley", "schwefel")
+
+
+def pool_from(points, fitness):
+    pool = EvaluatedPool()
+    pool.add(points, fitness)
+    return pool
+
+
+def design_row(x):
+    """Feature row (1, x_1..x_d, x_1^2..x_d^2) of the quadratic surface."""
+    return np.concatenate(([1.0], x, x * x))
 
 
 def report(num, name, ok, detail=""):
@@ -61,7 +69,7 @@ def test_criterion_01_rbf_interpolation_exactness():
         obj = make_objective(OBJECTIVE_NAMES[int(rng.integers(len(OBJECTIVE_NAMES)))])
         size = int(rng.integers(3, 31))
         pts = obj.sample_uniform(rng, size)
-        pool = EvaluatedPool(items=[Item(p, obj.evaluate(p)) for p in pts])
+        pool = pool_from(pts, [obj.evaluate(p) for p in pts])
         model = fit_rbf(pool)
         scale = 1.0 + max(abs(v) for v in pool.fitnesses())
         err = max(abs(got - f) for got, f in zip(model.predict(pool.points()), pool.fitnesses())) / scale
@@ -81,8 +89,7 @@ def test_criterion_02_lsm_exact_recovery():
         coeffs = rng.uniform(-5.0, 5.0, size=2 * d + 1)
         n = int(rng.integers(2 * d + 1, 40))
         pts = rng.uniform(-3.0, 3.0, size=(n, d))
-        items = [Item(p, float(coeffs @ design_row(p))) for p in pts]
-        model = fit_lsm(EvaluatedPool(items=items))
+        model = fit_lsm(pool_from(pts, [float(coeffs @ design_row(p)) for p in pts]))
         worst = max(worst, float(np.max(np.abs(model.theta - coeffs))))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-6 and elapsed < 5.0
@@ -97,13 +104,11 @@ def test_criterion_03_sigma_heuristic_matches_pairwise_mean():
              np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])]
     cases += [rng.uniform(-50, 50, size=(int(rng.integers(2, 12)), 2)) for _ in range(20)]
     for pts in cases:
-        pool = EvaluatedPool(items=[Item(p, 0.0) for p in pts])
         n = len(pts)
         dists = [float(np.linalg.norm(pts[i] - pts[j]))
                  for i in range(n) for j in range(i + 1, n)]
-        worst = max(worst, abs(compute_sigma(pool) - sum(dists) / len(dists)))
-    hand = abs(compute_sigma(EvaluatedPool(items=[Item(np.array([0.0, 0.0]), 0.0),
-                                                  Item(np.array([3.0, 4.0]), 0.0)])) - 5.0)
+        worst = max(worst, abs(fit_rbf(pool_from(pts, np.zeros(n))).sigma - sum(dists) / len(dists)))
+    hand = abs(fit_rbf(pool_from(np.array([[0.0, 0.0], [3.0, 4.0]]), np.zeros(2))).sigma - 5.0)
     ok = worst <= 1e-12 and hand <= 1e-12
     assert report(3, "sigma equals mean pairwise distance", ok, f"worst deviation {worst:.2e}")
 
@@ -164,8 +169,8 @@ def test_criterion_06_random_recommender_equivalence():
             and all(
                 ra.accepted_count == rb.accepted_count
                 and ra.best_true_fitness_so_far == rb.best_true_fitness_so_far
-                and all(np.array_equal(ia.point, ib.point) and ia.fitness == ib.fitness
-                        for ia, ib in zip(ra.suggested, rb.suggested))
+                and ra.suggested.tobytes() == rb.suggested.tobytes()
+                and ra.suggested_fitness.tobytes() == rb.suggested_fitness.tobytes()
                 for ra, rb in zip(a.cycle_records, b.cycle_records)
             )
         )
@@ -183,14 +188,14 @@ def test_criterion_07_metric_oracles_on_synthetic_logs():
 
         # module path: real pool and records
         counter = iter(range(10_000))
-        pool = EvaluatedPool(items=[Item(np.array([float(next(counter)), 0.0]), f)
-                                    for f in initial])
+        pool = pool_from([[float(next(counter)), 0.0] for _ in initial], initial)
         records = []
         for index, fits in enumerate(cycle_fitness, start=1):
-            items = [Item(np.array([float(next(counter)), 0.0]), f) for f in fits]
-            accepted = count_accepted(items, pool)
-            pool.add([item.point for item in items], [item.fitness for item in items])
-            records.append(CycleRecord(index, items, accepted,
+            points = np.array([[float(next(counter)), 0.0] for _ in fits])
+            fitness = np.array(fits)
+            accepted = count_accepted(fitness, pool)
+            pool.add(points, fitness)
+            records.append(CycleRecord(index, points, fitness, accepted,
                                        pool.best_fitness(), True))
         got = (
             [r.accepted_count for r in records],

@@ -31,10 +31,8 @@ def assert_run_results_identical(a, b):
         assert ra.accepted_count == rb.accepted_count
         assert ra.best_true_fitness_so_far == rb.best_true_fitness_so_far
         assert ra.surrogate_fit_ok == rb.surrogate_fit_ok
-        assert len(ra.suggested) == len(rb.suggested)
-        for ia, ib in zip(ra.suggested, rb.suggested):
-            assert np.array_equal(ia.point, ib.point)
-            assert ia.fitness == ib.fitness
+        assert ra.suggested.tobytes() == rb.suggested.tobytes()
+        assert ra.suggested_fitness.tobytes() == rb.suggested_fitness.tobytes()
 
 
 def test_shape_examples():

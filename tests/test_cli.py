@@ -41,6 +41,17 @@ def test_unknown_subcommand_is_usage_error():
     assert excinfo.value.code == 2
 
 
+# runs as it is; test_bad_input_is_usage_error changes one value at a time
+VALID_CONFIG = {"objective": "ackley", "system": "sagrs-lsm", "pool_size": 8, "repetitions": 1,
+                "cycles": [2], "suggestions": [2], "ga_population_size": 10}
+
+
+def test_valid_config_runs(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**VALID_CONFIG, "out_dir": str(tmp_path / "out")}))
+    assert cli_main(["run", "--config", str(path)]) == 0
+
+
 def test_run_from_config_file(tmp_path):
     config = {
         "objective": "ackley",
@@ -160,15 +171,39 @@ def test_compare_prints_summary_median(tmp_path, capsys):
       "--ga-pop", "10", "--out", "{out}"], "pool_size must be >= 1"),
     (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--window", "0", "--reps", "2",
       "--cycles", "2", "--pool-size", "10", "--out", "{out}"], "training_window must be >= 1"),
+    # a config file skips argparse's types and choices; a dict stands for one
+    (["run", "--config", {"dimension": 2.5}], "dimension must be an integer"),
+    (["run", "--config", {"repetitions": 1.5}], "repetitions must be an integer"),
+    (["run", "--config", {"base_seed": 0.5}], "base_seed must be an integer"),
+    (["run", "--config", {"jobs": 1.5}], "jobs must be an integer"),
+    (["run", "--config", {"pool_size": 10.5}], "pool_size must be an integer"),
+    (["run", "--config", {"training_window": 2.5}], "training_window must be an integer"),
+    (["run", "--config", {"rates": ["x"]}], "rates must be integers"),
+    (["run", "--config", {"suggestions": [2.5]}], "suggestions must be integers"),
+    (["run", "--config", {"cycles": [True]}], "cycles must be integers"),
+    (["run", "--config", {"pool_handling": ["sometimes"]}], "pool_handling must be among"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
-        "compare-pool-size-0", "run-window-0"])
+        "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
+        "config-seed-float", "config-jobs-float", "config-pool-size-float", "config-window-float",
+        "config-rates-str", "config-suggestions-float", "config-cycles-bool",
+        "config-pool-handling-unknown"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")
-    argv = [a.format(out=tmp_path / "out", foreign_csv=foreign_csv) for a in argv]
+
+    def fill(arg):
+        if isinstance(arg, dict):  # a config file: VALID_CONFIG with these settings over it
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({**VALID_CONFIG, "out_dir": str(tmp_path / "out"), **arg}))
+            return str(path)
+        return arg.format(out=tmp_path / "out", foreign_csv=foreign_csv)
+
+    argv = [fill(a) for a in argv]
     with pytest.raises(SystemExit) as excinfo:
         cli_main(argv)
     assert excinfo.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert err.count("error:") == 1  # after argparse's usage text, one message line
     assert not (tmp_path / "out").exists()  # rejected before any run started

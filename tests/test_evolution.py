@@ -4,7 +4,6 @@ import pytest
 from sagrs.evolution import (
     GaConfig,
     Population,
-    best_k,
     init_population,
     score_population,
     step_generation,
@@ -141,28 +140,6 @@ def test_lazy_scoring_never_rescores_cached_individuals():
     assert len(seen) == len(set(seen))  # no point is ever paid for twice
 
 
-def test_best_k_tie_breaks_and_bounds():
-    pop = Population(individuals=np.array([[0.0], [1.0], [2.0]]),
-                     scores=np.array([3.0, 1.0, 2.0]))
-    (vec, score), = best_k(pop, 1)
-    assert vec[0] == 1.0 and score == 1.0
-
-    tied = Population(individuals=np.array([[0.0], [1.0], [2.0]]),
-                      scores=np.array([1.0, 1.0, 2.0]))
-    picks = best_k(tied, 2)
-    assert [v[0] for v, _ in picks] == [0.0, 1.0]
-
-    everything = best_k(tied, 3)
-    assert [s for _, s in everything] == [1.0, 1.0, 2.0]
-
-    with pytest.raises(ValueError):
-        best_k(tied, 4)
-    with pytest.raises(ValueError):
-        best_k(tied, 0)
-    with pytest.raises(ValueError):
-        best_k(Population(individuals=np.zeros((2, 1))), 1)
-
-
 def test_generation_keeps_elites_and_clone_scores_and_unscores_the_rest():
     obj = make_objective("ackley")
     cfg = GaConfig(population_size=40, selection_factor=0.6, mutation_prob=0.3,
@@ -184,7 +161,7 @@ def test_generation_keeps_elites_and_clone_scores_and_unscores_the_rest():
                 assert np.isnan(score)
         # rows that are no old individual (mutated or blended) are never scored
         assert not any(s for row, s in zip(nxt.individuals, nxt.scored) if row.tobytes() not in old)
-        assert not nxt.fully_scored
+        assert not nxt.scored.all()
         assert np.all(nxt.individuals >= obj.lower) and np.all(nxt.individuals <= obj.upper)
         pop = nxt
 

@@ -206,6 +206,16 @@ def test_spec_validation():
         ExperimentSpec(objective="ackley", system="ga", repetitions=0)
     with pytest.raises(ValueError):
         ExperimentSpec(objective="ackley", system="ga", rates=())
+    # what a config file can hold but argparse's types and choices would reject
+    for bad, message in (
+        ({"repetitions": True}, "repetitions must be an integer"),
+        ({"base_seed": 0.5}, "base_seed must be an integer"),
+        ({"training_window": 2.5}, "training_window must be an integer"),
+        ({"rates": (1, 1.5)}, "rates must be integers"),
+        ({"pool_handling": ("reset", "sometimes")}, "pool_handling must be among"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(objective="ackley", system="ga", **bad)
 
 
 def test_run_compare_unknown_objective_is_value_error(tmp_path):

@@ -14,7 +14,7 @@ from sagrs.recommender import (
     run_sagrs,
     select_suggestions,
 )
-from sagrs.surrogate import EXCLUSION_EPSILON, EvaluatedPool, Item, MeanModel, fit_lsm
+from sagrs.surrogate import EXCLUSION_EPSILON, EvaluatedPool, MeanModel, fit_lsm
 
 
 def recording_objective(name="bohachevsky", dimension=2):
@@ -40,15 +40,14 @@ def small_config(**overrides):
 
 
 def pool_from(points, values):
-    return EvaluatedPool(items=[Item(np.asarray(p, float), float(v)) for p, v in zip(points, values)])
+    pool = EvaluatedPool()
+    pool.add(np.asarray(points, float), np.asarray(values, float))
+    return pool
 
 
 def records_from_counts(accepted_counts, per_cycle=4):
-    records = []
-    for i, count in enumerate(accepted_counts, start=1):
-        suggested = [Item(np.zeros(2), 0.0)] * per_cycle
-        records.append(CycleRecord(i, suggested, count, 0.0, True))
-    return records
+    return [CycleRecord(i, np.zeros((per_cycle, 2)), np.zeros(per_cycle), count, 0.0, True)
+            for i, count in enumerate(accepted_counts, start=1)]
 
 
 # ------------------------------------------------------------ config
@@ -73,19 +72,18 @@ def test_config_validation():
 
 def test_count_accepted_direct_rule():
     pool = pool_from([(0.0, 0.0), (1.0, 0.0)], [2.0, 10.0])
-    suggested = [Item(np.array([5.0, 5.0]), 5.0), Item(np.array([6.0, 6.0]), 12.0)]
-    assert count_accepted(suggested, pool) == 1
+    accepted = count_accepted(np.array([5.0, 12.0]), pool)
+    assert accepted == 1 and type(accepted) is int
 
 
 def test_count_accepted_none_better():
     pool = pool_from([(0.0, 0.0)], [10.0])
-    suggested = [Item(np.array([5.0, 5.0]), 11.0), Item(np.array([6.0, 6.0]), 10.5)]
-    assert count_accepted(suggested, pool) == 0
+    assert count_accepted(np.array([11.0, 10.5]), pool) == 0
 
 
 def test_count_accepted_tie_is_not_accepted():
     pool = pool_from([(0.0, 0.0)], [10.0])
-    assert count_accepted([Item(np.array([5.0, 5.0]), 10.0)], pool) == 0
+    assert count_accepted(np.array([10.0]), pool) == 0
 
 
 def test_convergence_cycle_last_acceptance():
@@ -181,7 +179,7 @@ def test_nan_prediction_counts_as_scored():
     for _ in range(3):
         pop = step_generation(pop, model.predict, cfg, obj, rng)
     select_suggestions(pop, EvaluatedPool(), 4, model, obj, rng)
-    assert pop.fully_scored
+    assert pop.scored.all()
     assert np.isnan(pop.scores).any()  # NaN scores survived into the last population
     assert len(model.asked) == len(set(model.asked))  # no individual was asked twice
     assert set(map(tuple, pop.individuals)) <= set(model.asked)
@@ -265,16 +263,16 @@ def test_run_is_deterministic():
     assert a.acceptance_rate == b.acceptance_rate
     for ra, rb in zip(a.cycle_records, b.cycle_records):
         assert ra.accepted_count == rb.accepted_count
-        assert all(np.array_equal(ia.point, ib.point) and ia.fitness == ib.fitness
-                   for ia, ib in zip(ra.suggested, rb.suggested))
+        assert ra.suggested.tobytes() == rb.suggested.tobytes()
+        assert ra.suggested_fitness.tobytes() == rb.suggested_fitness.tobytes()
 
 
 def test_reset_and_no_reset_diverge():
     obj = make_objective("bohachevsky")
     a = run_sagrs(obj, small_config(pool_handling="reset", cycles=4), np.random.default_rng(5))
     b = run_sagrs(obj, small_config(pool_handling="no_reset", cycles=4), np.random.default_rng(5))
-    pts_a = np.concatenate([[i.point for i in r.suggested] for r in a.cycle_records])
-    pts_b = np.concatenate([[i.point for i in r.suggested] for r in b.cycle_records])
+    pts_a = np.concatenate([r.suggested for r in a.cycle_records])
+    pts_b = np.concatenate([r.suggested for r in b.cycle_records])
     assert not np.array_equal(pts_a, pts_b)
 
 
@@ -290,8 +288,9 @@ def test_suggested_items_carry_true_fitness():
     obj = make_objective("schwefel")
     result = run_sagrs(obj, small_config(cycles=3), np.random.default_rng(10))
     for record in result.cycle_records:
-        for item in record.suggested:
-            assert item.fitness == obj.evaluate(item.point)
+        want = np.array([obj.evaluate(p) for p in record.suggested])
+        assert record.suggested.shape == (3, 2)
+        assert record.suggested_fitness.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------ block draws
@@ -330,7 +329,7 @@ def per_point_select(pop, pool, k, model, obj, rng, rejected):
             chosen.append(draw[0])
         else:
             rejected["fill"] += 1
-    return chosen
+    return np.array(chosen)
 
 
 @pytest.mark.parametrize("kind", ["lsm", "rbf"])
@@ -356,9 +355,8 @@ def test_block_draws_match_per_point_reference(monkeypatch, kind):
     assert block_rng.bit_generator.state == reference_rng.bit_generator.state
     assert len(block.cycle_records) == len(reference.cycle_records)
     for got, want in zip(block.cycle_records, reference.cycle_records):
-        assert np.array([i.point for i in got.suggested]).tobytes() == \
-            np.array([i.point for i in want.suggested]).tobytes()
-        assert [i.fitness for i in got.suggested] == [i.fitness for i in want.suggested]
+        assert got.suggested.tobytes() == want.suggested.tobytes()
+        assert got.suggested_fitness.tobytes() == want.suggested_fitness.tobytes()
         assert (got.accepted_count, got.best_true_fitness_so_far, got.surrogate_fit_ok) == \
             (want.accepted_count, want.best_true_fitness_so_far, want.surrogate_fit_ok)
     assert block.best_fitness == reference.best_fitness

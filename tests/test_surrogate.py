@@ -10,13 +10,10 @@ from sagrs.objectives import make_objective
 from sagrs.recommender import SagrsConfig, run_sagrs
 from sagrs.surrogate import (
     EvaluatedPool,
-    Item,
     LsmModel,
     MeanModel,
     RbfModel,
     SurrogateFitError,
-    compute_sigma,
-    design_row,
     fit,
     fit_lsm,
     fit_or_fallback,
@@ -27,7 +24,19 @@ from sagrs.surrogate import (
 
 
 def pool_from(points, values):
-    return EvaluatedPool(items=[Item(np.asarray(p, float), float(v)) for p, v in zip(points, values)])
+    pool = EvaluatedPool()
+    pool.add(np.asarray(points, float), np.asarray(values, float))
+    return pool
+
+
+def design_row(x):
+    """Feature row (1, x_1..x_d, x_1^2..x_d^2) of the quadratic surface."""
+    return np.concatenate(([1.0], x, x * x))
+
+
+def compute_sigma(pool):
+    """Mean Euclidean distance over all unordered pairs of pool points."""
+    return float(np.mean(pdist(pool.points())))
 
 
 def quadratic_pool(coeffs, points):
@@ -48,8 +57,6 @@ def test_pool_rejects_unevaluated_items():
         EvaluatedPool().add(np.zeros((1, 2)), [None])
     with pytest.raises(ValueError):
         EvaluatedPool().add(np.zeros((1, 2)), [math.nan])
-    with pytest.raises(ValueError):
-        EvaluatedPool(items=[Item(np.zeros(2))])
     with pytest.raises(ValueError):
         EvaluatedPool().add(np.zeros((2, 2)), [1.0])  # one fitness for two points
 
@@ -83,12 +90,12 @@ def test_pool_arrays_equal_stacked_accepted_items():
     accepted = []
     for point in rng.uniform(-1.0, 1.0, size=(40, 3)):
         for candidate in (point, point + 1e-10):  # the second is a duplicate
-            item = Item(candidate, float(rng.normal()))
-            if pool.add(item.point[None], [item.fitness])[0]:
-                accepted.append(item)
+            fitness = float(rng.normal())
+            if pool.add(candidate[None], [fitness])[0]:
+                accepted.append((candidate, fitness))
     assert len(accepted) == len(pool) == 40
-    points = np.array([it.point for it in accepted], dtype=float)
-    fitness = np.array([it.fitness for it in accepted], dtype=float)
+    points = np.array([point for point, _ in accepted], dtype=float)
+    fitness = np.array([fitness for _, fitness in accepted], dtype=float)
     assert pool.points().tobytes() == points.tobytes() and pool.points().shape == (40, 3)
     assert pool.fitnesses().tobytes() == fitness.tobytes()
 
@@ -215,25 +222,25 @@ def test_lsm_residual_local_optimality():
 
 
 def test_compute_sigma_single_pair():
-    assert compute_sigma(pool_from([(0.0, 0.0), (3.0, 4.0)], [0, 0])) == pytest.approx(5.0, abs=1e-12)
+    assert fit_rbf(pool_from([(0.0, 0.0), (3.0, 4.0)], [0, 0])).sigma == pytest.approx(5.0, abs=1e-12)
 
 
 def test_compute_sigma_three_collinear():
     pool = pool_from([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 0, 0])
-    assert compute_sigma(pool) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert fit_rbf(pool).sigma == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
 def test_compute_sigma_homogeneous_scaling():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-2, 2, size=(8, 2))
-    base = compute_sigma(pool_from(pts, np.zeros(8)))
-    doubled = compute_sigma(pool_from(2.0 * pts, np.zeros(8)))
+    base = fit_rbf(pool_from(pts, np.zeros(8))).sigma
+    doubled = fit_rbf(pool_from(2.0 * pts, np.zeros(8))).sigma
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_compute_sigma_needs_two_points():
     with pytest.raises(SurrogateFitError):
-        compute_sigma(pool_from([(0.0, 0.0)], [1.0]))
+        fit_rbf(pool_from([(0.0, 0.0)], [1.0]))
 
 
 def test_compute_sigma_matches_pairwise_mean_oracle():
@@ -242,8 +249,8 @@ def test_compute_sigma_matches_pairwise_mean_oracle():
     dists = [
         math.dist(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))
     ]
-    pool = EvaluatedPool(items=[Item(p, 0.0) for p in pts])
-    assert compute_sigma(pool) == pytest.approx(sum(dists) / len(dists), abs=1e-12)
+    pool = pool_from(pts, np.zeros(len(pts)))
+    assert fit_rbf(pool).sigma == pytest.approx(sum(dists) / len(dists), abs=1e-12)
 
 
 # ---------------------------------------------------------------- RBF
@@ -503,5 +510,5 @@ def test_batch_scoring_run_matches_row_by_row_run(monkeypatch, kind, rate):
     for a, b in zip(batched.cycle_records, row_by_row.cycle_records):
         assert a.surrogate_fit_ok and b.surrogate_fit_ok
         assert (a.accepted_count, a.best_true_fitness_so_far) == (b.accepted_count, b.best_true_fitness_so_far)
-        assert [(i.point.tobytes(), i.fitness) for i in a.suggested] == \
-            [(i.point.tobytes(), i.fitness) for i in b.suggested]
+        assert a.suggested.tobytes() == b.suggested.tobytes()
+        assert a.suggested_fitness.tobytes() == b.suggested_fitness.tobytes()
