@@ -17,9 +17,10 @@ does not exit 0.
 the committed ``scripts/artifact_digest.sha256``, and exits 1 listing every
 line that differs. The reference was written with one OpenBLAS thread
 (``OPENBLAS_NUM_THREADS=1``), which ``metadata.json`` records. CI runs the
-commands without ``--check``, so each of them must exit 0. The check itself
-is not part of CI: the RBF fit's bits still depend on the BLAS build and its
-thread count, so another machine can differ without any change to the code.
+commands twice without ``--check``: each of them must exit 0, and the lines
+of the two runs must match. The check itself is not part of CI: the RBF
+fit's bits still depend on the BLAS build and its thread count, so another
+machine can differ without any change to the code.
 """
 
 from __future__ import annotations

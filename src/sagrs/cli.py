@@ -101,6 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     stats_p = sub.add_parser("stats", help="aggregate an existing runs.csv")
     stats_p.add_argument("csv", type=Path)
 
+    # cli_main reports a library error through the parser of the command
+    # that ran, so the usage printed is that command's
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
+
     return parser
 
 
@@ -136,6 +141,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     flags = vars(parser.parse_args(argv))  # only the flags the user set
     command = flags.pop("command")
+    parser = flags.pop("command_parser")  # errors below print this command's usage
 
     if command == "stats":
         path = flags["csv"]

@@ -38,6 +38,10 @@ class GaConfig:
     elitism: int = 1
 
     def __post_init__(self):
+        for name in ("population_size", "elitism"):  # a config file can hold any JSON number
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 0.0 < self.selection_factor <= 1.0:
@@ -83,9 +87,9 @@ def score_population(pop: Population, fitness: FitnessContract) -> Population:
     """
     if pop.scores is None:
         pop.scores = np.full(len(pop), np.nan)
-    todo = np.flatnonzero(~pop.scored)
+    todo = (~pop.scored).nonzero()[0]
     if todo.size:
-        pop.scores[todo] = fitness(pop.individuals[todo])
+        pop.scores[todo] = fitness(pop.individuals.take(todo, axis=0))
         pop.scored[todo] = True
     return pop
 
@@ -115,28 +119,36 @@ def step_generation(
     d = pop.individuals.shape[1]
     score_population(pop, fitness)
 
-    order = np.argsort(pop.scores, kind="stable")
+    scores = pop.scores
+    order = np.argsort(scores, kind="stable")
     m = survivor_count(cfg.selection_factor, n)
 
-    a, b = order[rng.integers(0, m, size=(n - m, 2))].T  # parent rows of pop
-    blend = rng.random(n - m) < cfg.recombination_prob
-    w = rng.random((np.count_nonzero(blend), d))
+    # take is fancy indexing without its overhead, a copy of the same values
+    a, b = order.take(rng.integers(0, m, size=(n - m, 2))).T  # parent rows of pop
+    blended = (rng.random(n - m) < cfg.recombination_prob).nonzero()[0]  # refill slots
     # the survivors, then per refill slot the better parent: a clone keeps
-    # its cached score, and the blended slots are overwritten below
-    rows = np.concatenate((order[:m], np.where(pop.scores[a] <= pop.scores[b], a, b)))
-    next_inds = pop.individuals[rows]
-    next_scores = pop.scores[rows]
-    next_scored = np.ones(n, dtype=bool)
-    next_inds[m:][blend] = w * pop.individuals[a[blend]] + (1.0 - w) * pop.individuals[b[blend]]
-    next_scores[m:][blend] = np.nan
-    next_scored[m:][blend] = False
+    # its cached score, and the blended and mutated rows lose theirs below
+    rows = order  # the ranks past the mating pool are not needed again
+    rows[m:] = np.where(scores.take(a) <= scores.take(b), a, b)
+    next_inds = pop.individuals.take(rows, axis=0)
+    refreshed = np.zeros(n, dtype=bool)
+    # an empty weight or noise block is not drawn: drawing it consumes no random numbers
+    if blended.size:
+        w = rng.random((blended.size, d))
+        parent_a = pop.individuals.take(a.take(blended), axis=0)
+        parent_b = pop.individuals.take(b.take(blended), axis=0)
+        next_inds[m + blended] = w * parent_a + (1.0 - w) * parent_b
+        refreshed[m + blended] = True
 
-    mutate = rng.random(n - cfg.elitism) < cfg.mutation_prob
-    noise = rng.normal(size=(np.count_nonzero(mutate), d))
-    mutants = next_inds[cfg.elitism:]
-    mutants[mutate] = mutants[mutate] + noise * (cfg.mutation_scale * obj.width)
-    next_scores[cfg.elitism:][mutate] = np.nan
-    next_scored[cfg.elitism:][mutate] = False
+    mutants = cfg.elitism + (rng.random(n - cfg.elitism) < cfg.mutation_prob).nonzero()[0]
+    if mutants.size:
+        noise = rng.normal(size=(mutants.size, d))
+        next_inds[mutants] = next_inds.take(mutants, axis=0) + noise * (cfg.mutation_scale * obj.width)
+        refreshed[mutants] = True
 
+    next_scores = scores.take(rows)
+    next_scores[refreshed] = np.nan
+    # np.clip, not np.maximum and np.minimum: at a bound of zero they can
+    # disagree with it on the sign of a zero coordinate
     np.clip(next_inds, obj.lower, obj.upper, out=next_inds)
-    return Population(individuals=next_inds, scores=next_scores, scored=next_scored)
+    return Population(individuals=next_inds, scores=next_scores, scored=~refreshed)

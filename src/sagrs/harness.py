@@ -243,11 +243,62 @@ def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
     return row, cycle_rows, None
 
 
+def _openblas_thread_controls() -> dict[str, tuple]:
+    """(get, set) thread-count functions of the OpenBLAS bundled with scipy and numpy.
+
+    Each is looked up through an extension module whose dependencies
+    include that OpenBLAS; numpy's 64-bit-integer build suffixes its symbols
+    with ``64_``. A library without the symbols is left out.
+    """
+    controls = {}
+    for name, module, suffix in (("scipy", scipy.linalg._flapack, ""), ("numpy", np.linalg._umath_linalg, "64_")):
+        try:
+            lib = ctypes.CDLL(module.__file__)
+            get_threads = lib[f"scipy_openblas_get_num_threads{suffix}"]
+            set_threads = lib[f"scipy_openblas_set_num_threads{suffix}"]
+        except (AttributeError, OSError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        controls[name] = (get_threads, set_threads)
+    return controls
+
+
+def _openblas_threads() -> int | str:
+    """Threads of the OpenBLAS that scipy's LAPACK links, read without setting it.
+
+    "unknown" where the symbol is missing.
+    """
+    control = _openblas_thread_controls().get("scipy")
+    return "unknown" if control is None else control[0]()
+
+
+def _one_blas_thread() -> list[tuple]:
+    """Set each bundled OpenBLAS to one thread; returns (set, count found) pairs.
+
+    The pool workers' initializer: workers with multi-threaded BLAS
+    oversubscribe the cores. The serial path calls it too and restores the
+    counts found after its runs, so a batch's bytes and metadata do not
+    depend on its worker count.
+    """
+    found = []
+    for get_threads, set_threads in _openblas_thread_controls().values():
+        found.append((set_threads, get_threads()))
+        set_threads(1)
+    return found
+
+
 def _run_jobs(jobs: list[dict], n_workers: int):
+    """Run the jobs with one BLAS thread; returns the outcomes and that count as the runs read it."""
     if n_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(_execute_job, jobs))
-    return [_execute_job(job) for job in jobs]
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread) as pool:
+            return list(pool.map(_execute_job, jobs)), pool.submit(_openblas_threads).result()
+    found = _one_blas_thread()
+    try:
+        return [_execute_job(job) for job in jobs], _openblas_threads()
+    finally:
+        for set_threads, count in found:
+            set_threads(count)
 
 
 def _format_cell(value) -> str:
@@ -305,23 +356,11 @@ def _blas(library) -> str:
     return f"{info.get('name')} {info.get('version')}"
 
 
-def _openblas_threads() -> int | str:
-    """Threads of the OpenBLAS that scipy's LAPACK links, read without setting it.
+def _metadata(extra: dict, blas_threads: int | str) -> dict:
+    """Everything the numbers depend on that is not in the row schema.
 
-    ``scipy_openblas_get_num_threads`` is looked up through scipy's LAPACK
-    extension, whose dependencies include its bundled OpenBLAS; "unknown"
-    where the symbol is missing.
+    blas_threads is the OpenBLAS thread count the runs used.
     """
-    try:
-        get_threads = ctypes.CDLL(scipy.linalg._flapack.__file__).scipy_openblas_get_num_threads
-    except (AttributeError, OSError):
-        return "unknown"
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    return get_threads()
-
-
-def _metadata(extra: dict) -> dict:
-    """Everything the numbers depend on that is not in the row schema."""
     return {
         "package_version": __version__,
         # factorization and matrix-product bits depend on the LAPACK/BLAS
@@ -330,7 +369,7 @@ def _metadata(extra: dict) -> dict:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "blas": {"numpy": _blas(np), "scipy": _blas(scipy)},
-            "scipy_openblas_threads": _openblas_threads(),
+            "scipy_openblas_threads": blas_threads,
         },
         "quartile_method": "linear interpolation between closest ranks",
         "seed_derivation": "base_seed XOR first 8 bytes of sha256 over the run coordinates",
@@ -369,13 +408,13 @@ def _run_batch(jobs: list[dict], n_workers: int, out_dir: Path, metadata: dict) 
     out_dir.mkdir(parents=True, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise OSError(f"output directory {out_dir} is not writable")
-    outcomes = _run_jobs(jobs, n_workers)
+    outcomes, blas_threads = _run_jobs(jobs, n_workers)
     run_rows = [row for row, _, _ in outcomes]
     cycle_rows = [cr for _, rows, _ in outcomes for cr in rows]
     summaries = aggregate_rows(run_rows)
     _write_csv(out_dir / "runs.csv", RUN_CSV_COLUMNS, run_rows)
     _write_csv(out_dir / "cycles.csv", CYCLE_CSV_COLUMNS, cycle_rows)
-    for name, payload in (("summary.json", summaries), ("metadata.json", _metadata(metadata))):
+    for name, payload in (("summary.json", summaries), ("metadata.json", _metadata(metadata, blas_threads))):
         with open(out_dir / name, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

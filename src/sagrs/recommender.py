@@ -123,7 +123,8 @@ def select_suggestions(
     if k < 1:
         raise ValueError("k must be >= 1")
     score_population(pop, model.predict)
-    return _admissible_rows(pop.individuals[np.argsort(pop.scores, kind="stable")], pool, k, obj, rng)
+    ranked = pop.individuals.take(np.argsort(pop.scores, kind="stable"), axis=0)
+    return _admissible_rows(ranked, pool, k, obj, rng)
 
 
 def draw_initial_pool(obj: Objective, size: int, rng: np.random.Generator) -> EvaluatedPool:

@@ -98,7 +98,7 @@ class EvaluatedPool:
         points = _check_points(points)
         if len(self) == 0:
             return np.full(len(points), math.inf)
-        return np.sqrt(np.min(squared_distances(points, self._points), axis=1))
+        return np.sqrt(squared_distances(points, self._points).min(axis=1))
 
     def best_fitness(self) -> float:
         return float(self._fitness.min())
@@ -159,8 +159,8 @@ class RbfModel:
 
     def predict(self, points) -> np.ndarray:
         x = _check_points(points, self.centers.shape[1])
-        dist = np.sqrt(squared_distances(x, self.centers))
-        return _row_dots(gaussian_bump(dist, self.sigma), self.weights)
+        dist = squared_distances(x, self.centers)
+        return _row_dots(gaussian_bump(np.sqrt(dist, out=dist), self.sigma), self.weights)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     instead of m * n rows of d, several times faster for small d.
     """
     diffs = np.ascontiguousarray(centers.T)[:, None, :] - points.T[:, :, None]
-    return _pairwise_sum(list(diffs * diffs))
+    return _pairwise_sum(list(np.multiply(diffs, diffs, out=diffs)))
 
 
 def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
@@ -237,14 +237,28 @@ def first_distinct(points: np.ndarray, clear: np.ndarray | None = None) -> np.nd
     Row i is kept when ``clear[i]`` holds (by default every row is clear) and
     it is more than EXCLUSION_EPSILON from every earlier kept row. The
     distances are ``squared_distances`` rows, bitwise the per-point check.
-    Only rows with a near earlier row are decided one at a time. Rows are
-    compared in chunks of DISTINCT_CHUNK_ROWS, so memory grows with k, not k^2.
+    Rows are compared in chunks of DISTINCT_CHUNK_ROWS, so memory grows with
+    k, not k^2.
+
+    A chunk whose near pairs are all exact copies (the GA's clones) is
+    decided in one step: equality is transitive, so a row is dropped iff an
+    earlier copy is kept (before the chunk) or clear (within it, where that
+    copy is either kept or dropped for a still earlier copy). Only a chunk
+    holding a near but unequal pair decides its rows one at a time.
     """
     keep = np.ones(len(points), dtype=bool) if clear is None else np.array(clear, dtype=bool)
     for start in range(0, len(points), DISTINCT_CHUNK_ROWS):
         stop = min(start + DISTINCT_CHUNK_ROWS, len(points))
-        dist = np.sqrt(squared_distances(points[start:stop], points[:stop]))
-        close = np.tril(dist <= EXCLUSION_EPSILON, start - 1)  # row r: only rows before start + r
+        dist = squared_distances(points[start:stop], points[:stop])
+        close = np.sqrt(dist, out=dist) <= EXCLUSION_EPSILON
+        rows, cols = np.nonzero(close)
+        rows += start
+        earlier = cols < rows  # a row looks back only at the rows before it
+        rows, cols = rows[earlier], cols[earlier]
+        if (points.take(rows, axis=0) == points.take(cols, axis=0)).all():
+            keep[rows[keep[cols]]] = False
+            continue
+        close = np.tril(close, start - 1)
         for r in np.flatnonzero(keep[start:stop] & close.any(axis=1)):
             keep[start + r] = not np.any(close[r] & keep[:stop])
     return keep

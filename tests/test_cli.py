@@ -182,12 +182,14 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     (["run", "--config", {"suggestions": [2.5]}], "suggestions must be integers"),
     (["run", "--config", {"cycles": [True]}], "cycles must be integers"),
     (["run", "--config", {"pool_handling": ["sometimes"]}], "pool_handling must be among"),
+    (["run", "--config", {"ga_population_size": 10.5}], "population_size must be an integer"),
+    (["run", "--config", {"system": "ga", "ga_elitism": 0.5}], "elitism must be an integer"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
         "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
         "config-seed-float", "config-jobs-float", "config-pool-size-float", "config-window-float",
         "config-rates-str", "config-suggestions-float", "config-cycles-bool",
-        "config-pool-handling-unknown"])
+        "config-pool-handling-unknown", "config-ga-pop-float", "config-ga-elitism-float"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")
@@ -205,5 +207,6 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert err.startswith(f"usage: sagrs {argv[0]} ")  # the usage of the command that ran
     assert err.count("error:") == 1  # after argparse's usage text, one message line
     assert not (tmp_path / "out").exists()  # rejected before any run started

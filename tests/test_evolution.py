@@ -9,7 +9,7 @@ from sagrs.evolution import (
     step_generation,
     survivor_count,
 )
-from sagrs.objectives import make_objective
+from sagrs.objectives import Objective, make_objective
 
 
 def sphere(points):
@@ -34,6 +34,9 @@ def test_config_validation():
         GaConfig(mutation_prob=1.5)
     with pytest.raises(ValueError):
         GaConfig(elitism=50, population_size=50)
+    for counts in ({"population_size": 10.5}, {"population_size": True}, {"elitism": 0.5}, {"elitism": False}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GaConfig(**counts)
 
 
 def test_init_population_in_domain_and_deterministic():
@@ -97,6 +100,16 @@ def test_generation_sequence_deterministic():
 
     a, b = trajectory(123), trajectory(123)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_clip_keeps_a_coordinate_at_its_bound_as_np_clip_does():
+    # with a bound of zero only the sign of a zero coordinate tells them apart
+    obj = Objective(name="zero-bounds", dimension=2, lower=np.array([0.0, -1.0]),
+                    upper=np.array([1.0, -0.0]), fn=lambda x: float(np.sum(x * x)))
+    cfg = GaConfig(population_size=4, selection_factor=1.0, mutation_prob=0.0, recombination_prob=0.0)
+    individuals = np.array([[-0.0, 0.0]] * 4)
+    pop = step_generation(Population(individuals.copy()), sphere, cfg, obj, np.random.default_rng(0))
+    assert pop.individuals.tobytes() == np.clip(individuals, obj.lower, obj.upper).tobytes()
 
 
 def test_truncation_survivor_counts():
@@ -218,20 +231,46 @@ def looped_generation(pop, fitness, cfg, obj, rng):
     return Population(np.clip(np.array(inds), obj.lower, obj.upper), np.array(scores), np.array(scored))
 
 
-@pytest.mark.parametrize("cfg", [
+def sphere_mostly_nan(points):
+    """sphere, but NaN wherever the first coordinate exceeds -400 (90% of schwefel's domain)."""
+    return np.where(points[:, 0] > -400.0, np.nan, sphere(points))
+
+
+REFERENCE_CONFIGS = [
     GaConfig(),
     GaConfig(population_size=30, selection_factor=0.5, mutation_prob=0.5, recombination_prob=0.5, elitism=2),
     GaConfig(population_size=7, selection_factor=1.0, mutation_prob=1.0, recombination_prob=1.0, elitism=0),
-])
-def test_generation_matches_slot_by_slot_reference(cfg):
+    # the blend block, then the mutation block, is empty in every generation
+    GaConfig(population_size=20, selection_factor=0.5, mutation_prob=0.3, recombination_prob=0.0),
+    GaConfig(population_size=20, selection_factor=0.5, mutation_prob=0.0, recombination_prob=0.3),
+]
+
+
+def scored_nan_rows_over_reference_run(cfg, fitness):
+    """Run 30 generations next to looped_generation, assert equal bits, count scored NaN rows."""
     obj = make_objective("schwefel", 3)
     rng, reference_rng = np.random.default_rng(55), np.random.default_rng(55)
     pop = init_population(obj, cfg, rng)
     reference = init_population(obj, cfg, reference_rng)
+    scored_nan = 0
     for _ in range(30):
-        pop = step_generation(pop, sphere, cfg, obj, rng)
-        reference = looped_generation(reference, sphere, cfg, obj, reference_rng)
+        pop = step_generation(pop, fitness, cfg, obj, rng)
+        reference = looped_generation(reference, fitness, cfg, obj, reference_rng)
         assert pop.individuals.tobytes() == reference.individuals.tobytes()
         assert pop.scores.tobytes() == reference.scores.tobytes()
         assert pop.scored.tolist() == reference.scored.tolist()
+        scored_nan += int(np.count_nonzero(pop.scored & np.isnan(pop.scores)))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+    return scored_nan
+
+
+@pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+def test_generation_matches_slot_by_slot_reference(cfg):
+    scored_nan_rows_over_reference_run(cfg, sphere)
+
+
+@pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+def test_generation_with_nan_scores_matches_slot_by_slot_reference(cfg):
+    scored_nan = scored_nan_rows_over_reference_run(cfg, sphere_mostly_nan)
+    if cfg.mutation_prob < 1.0:  # at 1.0 every row is mutated and unscored
+        assert scored_nan > 0  # survivors and clones with a cached NaN score stayed scored

@@ -1,9 +1,11 @@
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from sagrs import harness
 from sagrs.harness import (
     CYCLE_CSV_COLUMNS,
     GRID_KEY_COLUMNS,
@@ -238,6 +240,38 @@ def test_metadata_records_library_versions(tmp_path):
     assert versions["numpy"] == np.__version__
     assert versions["scipy"] == scipy.__version__
     assert set(versions["blas"]) == {"numpy", "scipy"}
+
+
+def test_pool_worker_initializer_pins_one_blas_thread():
+    controls = harness._openblas_thread_controls()
+    if "scipy" not in controls:
+        pytest.skip("scipy's OpenBLAS exposes no thread-count functions here")
+    get_threads, set_threads = controls["scipy"]
+    found = get_threads()
+    set_threads(2)  # a forked worker starts from the parent's count
+    try:
+        with ProcessPoolExecutor(max_workers=1, initializer=harness._one_blas_thread) as pool:
+            assert pool.submit(harness._openblas_threads).result() == 1
+    finally:
+        set_threads(found)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_runs_and_records_one_blas_thread(tmp_path, monkeypatch, jobs):
+    initializers = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            initializers.append(kwargs.get("initializer"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    found = harness._openblas_threads()
+    run_experiment(tiny_spec(tmp_path / "exp", jobs=jobs))
+    assert initializers == ([harness._one_blas_thread] if jobs > 1 else [])
+    versions = json.loads((tmp_path / "exp" / "metadata.json").read_text())["versions"]
+    assert versions["scipy_openblas_threads"] == (1 if "scipy" in harness._openblas_thread_controls() else "unknown")
+    assert harness._openblas_threads() == found  # the serial path restores the count it found
 
 
 def test_metadata_records_exclusion_epsilon(tmp_path):

@@ -84,6 +84,41 @@ def test_batch_insert_keeps_what_single_inserts_keep(monkeypatch, chunk_rows):
     assert batched.fitnesses().tobytes() == single.fitnesses().tobytes()
 
 
+def seeded_batch(kind, rng):
+    """20 base points and a batch of 60 rows drawn from them.
+
+    An "exact" row is a copy of its base point, a "near" one is shifted by
+    under 0.9e-9, so two near rows of one base point may or may not be
+    within epsilon of each other; "mixed" rows are either.
+    """
+    base = rng.uniform(-1.0, 1.0, size=(20, 2))
+    batch = base[rng.integers(0, 20, size=60)]
+    shifted = rng.random(60) < {"exact": 0.0, "near": 1.0, "mixed": 0.5}[kind]
+    batch[shifted, 1] += rng.uniform(-0.9e-9, 0.9e-9, size=np.count_nonzero(shifted))
+    return base, batch
+
+
+@pytest.mark.parametrize("clear", ["none", "pool", "random"])
+@pytest.mark.parametrize("kind", ["exact", "near", "mixed"])
+@pytest.mark.parametrize("chunk_rows", [surrogate_mod.DISTINCT_CHUNK_ROWS, 2])
+def test_first_distinct_matches_single_inserts(monkeypatch, chunk_rows, kind, clear):
+    # clear: no mask; the rows more than epsilon from a pool holding 5 of
+    # the base points; or a random mask, under which copies differ
+    monkeypatch.setattr(surrogate_mod, "DISTINCT_CHUNK_ROWS", chunk_rows)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        base, batch = seeded_batch(kind, rng)
+        pool = pool_from(base[:5], np.zeros(5)) if clear == "pool" else EvaluatedPool()
+        mask = {"none": None, "pool": pool.min_distance(batch) > surrogate_mod.EXCLUSION_EPSILON,
+                "random": rng.random(len(batch)) < 0.7}[clear]
+        kept = surrogate_mod.first_distinct(batch, mask)
+        # a row outside the mask is neither inserted nor held against later rows
+        singles = [(mask is None or bool(m)) and bool(pool.add(row[None], [1.0])[0])
+                   for row, m in zip(batch, np.ones(len(batch)) if mask is None else mask)]
+        assert kept.tolist() == singles
+        assert 0 < np.count_nonzero(kept) < len(batch)
+
+
 def test_pool_arrays_equal_stacked_accepted_items():
     rng = np.random.default_rng(5)
     pool = EvaluatedPool()
