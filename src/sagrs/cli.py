@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .evolution import GaConfig
@@ -44,18 +45,11 @@ _SWEEP_AXES = {
 }
 
 # flat config-file keys for the GA engine
-_GA_KEYS = {
-    "ga_population_size": "population_size",
-    "ga_selection_factor": "selection_factor",
-    "ga_mutation_prob": "mutation_prob",
-    "ga_recombination_prob": "recombination_prob",
-    "ga_mutation_scale": "mutation_scale",
-    "ga_elitism": "elitism",
-}
+_GA_KEYS = {f"ga_{f.name}": f.name for f in fields(GaConfig)}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    # each dest is the keyword ExperimentSpec and run_compare take
+    # each dest is the keyword ExperimentSpec and run_compare take, or a ga_* config key
     parser.add_argument("--objective", choices=OBJECTIVE_NAMES)
     parser.add_argument("--dimension", type=int)
     parser.add_argument("--pool-size", type=int)
@@ -63,7 +57,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", dest="base_seed", type=int)
     parser.add_argument("--out", dest="out_dir", type=Path)
     parser.add_argument("--jobs", type=int)
-    parser.add_argument("--ga-pop", type=int, help="GA population size")
+    parser.add_argument("--ga-pop", dest="ga_population_size", metavar="GA_POP", type=int,
+                        help="GA population size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,17 +110,14 @@ def _library_kwargs(flags: dict, command: str, parser) -> dict:
     Only the flags the user set are passed, over the config file's settings
     for run. Raises OSError, TypeError or ValueError on bad input.
     """
-    ga_pop = flags.pop("ga_pop", None)
     config = flags.pop("config", None)
     settings = flags
     if config is not None:
         with open(config) as fh:
             settings = {**json.load(fh), **flags}
     ga_kwargs = {field: settings.pop(key) for key, field in _GA_KEYS.items() if key in settings}
-    if ga_pop is not None:
-        ga_kwargs["population_size"] = ga_pop
-    if ga_kwargs:
-        settings["ga"] = GaConfig(**ga_kwargs)
+    if ga_kwargs:  # a config file's own "ga" key stays, for ExperimentSpec to reject
+        settings.setdefault("ga", GaConfig(**ga_kwargs))
     if command == "run" and not {"objective", "system"} <= settings.keys():
         parser.error("run needs --objective and --system (or a config file providing them)")
     if "objective" not in settings:

@@ -28,6 +28,11 @@ GA_RNG_LAYOUT = (
 )
 
 
+def is_int(value) -> bool:
+    """Whether a count from a config file, which can hold any JSON value, is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 50
@@ -38,10 +43,9 @@ class GaConfig:
     elitism: int = 1
 
     def __post_init__(self):
-        for name in ("population_size", "elitism"):  # a config file can hold any JSON number
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("population_size", "elitism"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 0.0 < self.selection_factor <= 1.0:

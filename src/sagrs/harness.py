@@ -28,23 +28,25 @@ import scipy.linalg
 
 from . import __version__, objectives
 from .baselines import run_ga_baseline, run_random_recommender
-from .evolution import GA_RNG_LAYOUT, GaConfig
+from .evolution import GA_RNG_LAYOUT, GaConfig, is_int
 from .objectives import make_objective
 from .recommender import EXCLUSION_EPSILON, POOL_HANDLING_MODES, SagrsConfig, run_sagrs
 
 SYSTEMS = ("sagrs-lsm", "sagrs-rbf", "ga", "random-lsm", "random-rbf")
 
-RUN_CSV_COLUMNS = (
-    "run_id", "system", "objective", "dimension", "rate", "suggestions", "cycles",
-    "pool_handling", "pool_size", "seed", "best_fitness", "convergence_cycle",
-    "acceptance_rate", "true_evals",
+# A run's coordinates, in the order that names the run and derives its seed.
+GRID_KEY_COLUMNS = (
+    "system", "objective", "dimension", "rate", "suggestions", "cycles",
+    "pool_handling", "pool_size",
 )
+
+SUMMARY_METRICS = ("best_fitness", "convergence_cycle", "acceptance_rate", "true_evals")
+
+RUN_CSV_COLUMNS = ("run_id", *GRID_KEY_COLUMNS, "seed", *SUMMARY_METRICS)
 CYCLE_CSV_COLUMNS = (
     "run_id", "cycle", "best_fitness_so_far", "accepted_count", "suggested_count",
     "surrogate_fit_ok",
 )
-
-SUMMARY_METRICS = ("best_fitness", "convergence_cycle", "acceptance_rate", "true_evals")
 
 OUT_DIR_ENV = "SAGRS_OUT_DIR"
 
@@ -84,10 +86,6 @@ def derive_seed(base_seed: int, *parts) -> int:
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & (2**63 - 1)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass
 class ExperimentSpec:
     objective: str
@@ -114,11 +112,13 @@ class ExperimentSpec:
         # A config file bypasses argparse's types and choices, so check them here.
         window = () if self.training_window is None else ("training_window",)
         for name in ("dimension", "pool_size", "repetitions", "base_seed", "jobs", *window):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for axis_name in ("rates", "suggestions", "cycles"):
-            if not all(map(_is_int, getattr(self, axis_name))):
+            if not all(map(is_int, getattr(self, axis_name))):
                 raise ValueError(f"{axis_name} must be integers, got {getattr(self, axis_name)!r}")
+        if not isinstance(self.ga, GaConfig):
+            raise ValueError(f"ga must be a GaConfig, got {self.ga!r}; set it through the ga_* config keys")
         if any(mode not in POOL_HANDLING_MODES for mode in self.pool_handling):
             raise ValueError(f"pool_handling must be among {POOL_HANDLING_MODES}, got {self.pool_handling!r}")
         # Rejects an unknown objective or a dimension it does not support.
@@ -162,26 +162,12 @@ def _build_jobs(spec: ExperimentSpec) -> list[dict]:
     jobs = []
     grid = itertools.product(spec.rates, spec.suggestions, spec.cycles, spec.pool_handling)
     for rate, sugg, cyc, handling in grid:
+        point = (spec.system, spec.objective, spec.dimension, rate, sugg, cyc, handling, spec.pool_size)
         for rep in range(spec.repetitions):
-            run_id = (
-                f"{spec.system}_{spec.objective}_d{spec.dimension}_r{rate}_s{sugg}"
-                f"_c{cyc}_{handling}_p{spec.pool_size}_rep{rep:02d}"
-            )
-            seed = derive_seed(
-                spec.base_seed, spec.system, spec.objective, spec.dimension,
-                rate, sugg, cyc, handling, spec.pool_size, rep,
-            )
             jobs.append({
-                "run_id": run_id,
-                "system": spec.system,
-                "objective": spec.objective,
-                "dimension": spec.dimension,
-                "rate": rate,
-                "suggestions": sugg,
-                "cycles": cyc,
-                "pool_handling": handling,
-                "pool_size": spec.pool_size,
-                "seed": seed,
+                "run_id": "{}_{}_d{}_r{}_s{}_c{}_{}_p{}_rep{:02d}".format(*point, rep),
+                **dict(zip(GRID_KEY_COLUMNS, point)),
+                "seed": derive_seed(spec.base_seed, *point, rep),
                 "ga": spec.ga,
                 "training_window": spec.training_window,
             })
@@ -200,12 +186,8 @@ def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
         if system == "ga":
             n_eval = job["pool_size"] + job["cycles"] * job["suggestions"]
             result = run_ga_baseline(obj, n_eval, ga=job["ga"], rng=rng)
-            row.update({
-                "rate": None,
-                "pool_handling": None,
-                "best_fitness": result.best_fitness,
-                "true_evals": result.true_evaluations_used,
-            })
+            row.update({"rate": None, "pool_handling": None})
+            metrics = (result.best_fitness, None, None, result.true_evaluations_used)
         else:
             kind = system.rsplit("-", 1)[1]
             cfg = SagrsConfig(
@@ -223,21 +205,16 @@ def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
                 row.update({"rate": 0, "pool_handling": "reset"})
             else:
                 result = run_sagrs(obj, cfg, rng)
-            row.update({
-                "best_fitness": result.best_fitness,
-                "convergence_cycle": result.convergence_cycle,
-                "acceptance_rate": result.acceptance_rate,
-                "true_evals": result.true_evaluations_used,
-            })
-            for record in result.cycle_records:
-                cycle_rows.append({
-                    "run_id": job["run_id"],
-                    "cycle": record.cycle_index,
-                    "best_fitness_so_far": record.best_true_fitness_so_far,
-                    "accepted_count": record.accepted_count,
-                    "suggested_count": len(record.suggested),
-                    "surrogate_fit_ok": record.surrogate_fit_ok,
-                })
+            metrics = (result.best_fitness, result.convergence_cycle, result.acceptance_rate,
+                       result.true_evaluations_used)
+            cycle_rows = [
+                dict(zip(CYCLE_CSV_COLUMNS, (
+                    job["run_id"], record.cycle_index, record.best_true_fitness_so_far,
+                    record.accepted_count, len(record.suggested), record.surrogate_fit_ok,
+                )))
+                for record in result.cycle_records
+            ]
+        row.update(zip(SUMMARY_METRICS, metrics))
     except Exception as exc:  # failed runs are recorded, the batch continues
         return row, [], f"{type(exc).__name__}: {exc}"
     return row, cycle_rows, None
@@ -317,12 +294,6 @@ def _write_csv(path: Path, columns, rows: list[dict]) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row[c]) for c in columns])
-
-
-GRID_KEY_COLUMNS = (
-    "system", "objective", "dimension", "rate", "suggestions", "cycles",
-    "pool_handling", "pool_size",
-)
 
 
 def aggregate_rows(run_rows: list[dict]) -> list[dict]:
@@ -495,32 +466,27 @@ def run_compare(
         "random-rbf": {**rbf, "rate": 0, "pool_handling": "reset"},
         "ga": {"rate": 0, "suggestions": suggestions, "pool_handling": "reset"},
     }
+    # what the five specs share, and the comparison's metadata records
+    shared = dict(objective=objective, dimension=dimension, repetitions=repetitions,
+                  base_seed=base_seed, pool_size=pool_size)
     jobs_list: list[dict] = []
     for system in SYSTEMS:
         settings = system_settings[system]
         jobs_list.extend(_build_jobs(ExperimentSpec(
-            objective=objective,
             system=system,
-            dimension=dimension,
             rates=(settings["rate"],),
             suggestions=(settings["suggestions"],),
             cycles=(cycles,),
             pool_handling=(settings["pool_handling"],),
-            pool_size=pool_size,
-            repetitions=repetitions,
-            base_seed=base_seed,
             ga=ga,
             jobs=jobs,
+            **shared,
         )))
 
     result = _run_batch(jobs_list, jobs, out_dir, {
         "comparison": {
-            "objective": objective,
-            "dimension": dimension,
-            "repetitions": repetitions,
-            "base_seed": base_seed,
+            **shared,
             "cycles": cycles,
-            "pool_size": pool_size,
             "ga_budget": ga_budget,
             "presets": {f"{obj}-{kind}": dict(v) for (obj, kind), v in COMPARE_PRESETS.items()},
             "ga": asdict(ga),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import GaConfig, Population, init_population, score_population, step_generation
+from .evolution import GaConfig, Population, init_population, is_int, score_population, step_generation
 from .objectives import Objective
 from .surrogate import (
     EXCLUSION_EPSILON,
@@ -41,6 +41,11 @@ class SagrsConfig:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
+        # a float or bool count would fail or misrun only after the initial pool's evaluations
+        window = () if self.training_window is None else ("training_window",)
+        for name in ("evaluation_rate", "suggestions_per_cycle", "cycles", "initial_pool_size", *window):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.evaluation_rate < 0:
             raise ValueError("evaluation_rate must be >= 0")
         if self.suggestions_per_cycle < 1:

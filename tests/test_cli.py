@@ -74,7 +74,8 @@ def test_run_from_config_file(tmp_path):
 
 def test_flags_override_config(tmp_path):
     path = tmp_path / "experiment.json"
-    path.write_text(json.dumps({"objective": "ackley", "system": "sagrs-lsm"}))
+    # TINY's --ga-pop 10 overrides the config's invalid population size
+    path.write_text(json.dumps({"objective": "ackley", "system": "sagrs-lsm", "ga_population_size": 1}))
     assert cli_main(["run", "--config", str(path), "--objective", "schwefel",
                      "--out", str(tmp_path / "o"), *TINY]) == 0
     rows = read_runs_csv(tmp_path / "o" / "runs.csv")
@@ -184,12 +185,15 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     (["run", "--config", {"pool_handling": ["sometimes"]}], "pool_handling must be among"),
     (["run", "--config", {"ga_population_size": 10.5}], "population_size must be an integer"),
     (["run", "--config", {"system": "ga", "ga_elitism": 0.5}], "elitism must be an integer"),
+    (["run", "--config", {"ga": {"population_size": 10}}], "set it through the ga_* config keys"),
+    (["run", "--config", {"ga": None}], "ga must be a GaConfig, got None"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
         "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
         "config-seed-float", "config-jobs-float", "config-pool-size-float", "config-window-float",
         "config-rates-str", "config-suggestions-float", "config-cycles-bool",
-        "config-pool-handling-unknown", "config-ga-pop-float", "config-ga-elitism-float"])
+        "config-pool-handling-unknown", "config-ga-pop-float", "config-ga-elitism-float",
+        "config-ga-dict", "config-ga-null"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")

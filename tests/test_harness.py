@@ -10,6 +10,7 @@ from sagrs.harness import (
     CYCLE_CSV_COLUMNS,
     GRID_KEY_COLUMNS,
     RUN_CSV_COLUMNS,
+    SYSTEMS,
     ComparisonResult,
     ExperimentSpec,
     aggregate_rows,
@@ -84,6 +85,21 @@ def test_seed_derivation_is_stable_and_sensitive():
     assert a != derive_seed(0, "sagrs-lsm", "ackley", 2, 1, 4, 100, "reset", 100, 1)
     assert a != derive_seed(1, "sagrs-lsm", "ackley", 2, 1, 4, 100, "reset", 100, 0)
     assert 0 <= a < 2**63
+
+
+def test_run_ids_and_seeds_are_pinned():
+    # fixed values: reordering the coordinates would change every run's id
+    # or seed, and with them every output byte
+    spec = ExperimentSpec(objective="ackley", system="sagrs-rbf", rates=(4,), suggestions=(8,),
+                          cycles=(100,), pool_handling=("no_reset",), pool_size=100, repetitions=3,
+                          base_seed=11)
+    job = harness._build_jobs(spec)[2]
+    assert job["run_id"] == "sagrs-rbf_ackley_d2_r4_s8_c100_no_reset_p100_rep02"
+    assert job["seed"] == 3308980551235040432
+    assert {c: job[c] for c in GRID_KEY_COLUMNS} == {
+        "system": "sagrs-rbf", "objective": "ackley", "dimension": 2, "rate": 4, "suggestions": 8,
+        "cycles": 100, "pool_handling": "no_reset", "pool_size": 100,
+    }
 
 
 # ------------------------------------------------------------ experiments
@@ -180,6 +196,7 @@ def test_failed_run_recorded_batch_continues(tmp_path):
     # the failed row is present in the CSV with empty metric cells
     rows = read_runs_csv(tmp_path / "exp" / "runs.csv")
     assert sum(1 for r in rows if r["best_fitness"] is None) == 1
+    assert rows == result.run_rows
 
 
 def test_parallel_jobs_match_serial_bytes(tmp_path):
@@ -197,6 +214,21 @@ def test_compare_rerun_in_parallel_matches_bytes(tmp_path):
                     ga=GaConfig(population_size=10), out_dir=tmp_path / name, jobs=jobs)
     for fname in ("runs.csv", "cycles.csv", "summary.json", "metadata.json"):
         assert (tmp_path / "serial" / fname).read_bytes() == (tmp_path / "parallel" / fname).read_bytes()
+
+
+def test_compare_runs_csv_round_trips(tmp_path):
+    from sagrs.evolution import GaConfig
+
+    comparison = run_compare("ackley", repetitions=1, cycles=2, pool_size=8, base_seed=3,
+                             ga=GaConfig(population_size=10), out_dir=tmp_path / "cmp")
+    rows = comparison.result.run_rows
+    assert [row["system"] for row in rows] == list(SYSTEMS)
+    [ga_row] = comparison.rows_by_system["ga"]
+    assert [ga_row[c] for c in ("rate", "pool_handling", "convergence_cycle", "acceptance_rate")] == [None] * 4
+    header = (tmp_path / "cmp" / "runs.csv").read_text().splitlines()[0]
+    assert header == ("run_id,system,objective,dimension,rate,suggestions,cycles,pool_handling,"
+                      "pool_size,seed,best_fitness,convergence_cycle,acceptance_rate,true_evals")
+    assert read_runs_csv(tmp_path / "cmp" / "runs.csv") == rows
 
 
 def test_spec_validation():

@@ -62,6 +62,12 @@ def test_config_validation():
         SagrsConfig(suggestions_per_cycle=0)
     with pytest.raises(ValueError):
         SagrsConfig(pool_handling="sometimes")
+    # counts are checked before a run spends true evaluations on its initial pool
+    for bad in ({"cycles": 2.5}, {"cycles": True}, {"suggestions_per_cycle": 2.5},
+                {"initial_pool_size": 10.5}, {"training_window": 3.5}, {"evaluation_rate": 1.0}):
+        [(name, value)] = bad.items()
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            SagrsConfig(**bad)
     with pytest.raises(ValueError):
         # 2d+1 = 5 at d=2
         small_config(initial_pool_size=4).validate_for(make_objective("bohachevsky"))
