@@ -1,10 +1,11 @@
-"""Comparison systems: a budget-matched plain GA and the random recommender.
+"""Comparison systems: a plain GA capped at a true-evaluation budget, and the random recommender.
 
 The plain GA optimizes the true objective directly under a hard evaluation
 budget, shaped so that population size and generation count are both
-floor(sqrt(budget)). The random recommender is the recommendation loop with
-the optimization switched off (evaluation rate 0, population reset every
-cycle), i.e. a plain content-based recommender.
+floor(sqrt(budget)); it never re-evaluates elites and clones, so it spends
+less (``true_evals`` in runs.csv). The random recommender is the
+recommendation loop with the optimization switched off (evaluation rate 0,
+population reset every cycle), i.e. a plain content-based recommender.
 """
 
 from __future__ import annotations

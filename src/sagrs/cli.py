@@ -6,7 +6,7 @@ Subcommands:
     sweep-rates        preset grid over evaluation rates x pool handling
     sweep-suggestions  preset grid over suggestions per cycle
     sweep-cycles       preset grid over recommendation-cycle counts
-    compare            all five systems on one objective, budget-matched
+    compare            all five systems on one objective, the GA capped at their budget
     stats              re-aggregate an existing runs.csv to JSON on stdout
 
 Exit status: 0 on success, 1 if any run failed, 2 on usage errors.
@@ -157,20 +157,22 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (OSError, TypeError, ValueError) as exc:
         parser.error(str(exc))
 
-    if spec is not None:
-        result = run_experiment(spec)
-    else:
-        try:
-            # run_compare checks every argument before its first run starts
+    try:
+        # both check every argument, and the output directory, before the first run starts
+        if spec is not None:
+            result = run_experiment(spec)
+        else:
             comparison = run_compare(**kwargs)
-        except ValueError as exc:
-            parser.error(str(exc))
+            result = comparison.result
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    if spec is None:
         for system in SYSTEMS:
             finished = sum(f is not None for f in comparison.best_fitness(system))
             if finished:
                 print(f"{system:12s} median best fitness {comparison.median_best_fitness(system):.6g} "
                       f"over {finished} runs")
-        result = comparison.result
 
     for run_id, message in result.failures:
         print(f"FAILED {run_id}: {message}", file=sys.stderr)

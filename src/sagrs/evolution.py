@@ -10,6 +10,7 @@ re-scored, which keeps true-objective budgets honest.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,6 +47,10 @@ class GaConfig:
         for name in ("population_size", "elitism"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("selection_factor", "mutation_prob", "recombination_prob", "mutation_scale"):
+            rate = getattr(self, name)
+            if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not math.isfinite(rate):
+                raise ValueError(f"{name} must be a finite number, got {rate!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 0.0 < self.selection_factor <= 1.0:

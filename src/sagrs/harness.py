@@ -376,9 +376,12 @@ def _run_batch(jobs: list[dict], n_workers: int, out_dir: Path, metadata: dict) 
     A failed run keeps its row, with empty metric cells, and is listed in
     the result's failures; the batch goes on.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a path through a regular file, or onto one
+        raise ValueError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
     if not os.access(out_dir, os.W_OK):
-        raise OSError(f"output directory {out_dir} is not writable")
+        raise ValueError(f"output directory {out_dir} is not writable")
     outcomes, blas_threads = _run_jobs(jobs, n_workers)
     run_rows = [row for row, _, _ in outcomes]
     cycle_rows = [cr for _, rows, _ in outcomes for cr in rows]
@@ -445,11 +448,11 @@ def run_compare(
     ga: GaConfig | None = None,
     jobs: int = 1,
 ) -> ComparisonResult:
-    """Run all five systems on one objective with budget-matched settings.
+    """Run all five systems on one objective, the plain GA capped at their budget.
 
-    The plain GA gets the largest budget any recommender configuration uses,
-    pool_size + cycles * suggestions. Bad settings raise ValueError before
-    the first run starts.
+    The cap is the largest budget any recommender configuration uses,
+    pool_size + cycles * suggestions; ``true_evals`` in runs.csv is what a GA
+    run spent. Bad settings raise ValueError before the first run starts.
     """
     objectives.make_objective(objective, dimension)  # ValueError before the preset lookup
     ga = ga if ga is not None else GaConfig()
@@ -499,7 +502,8 @@ def run_compare(
 def read_runs_csv(path: Path) -> list[dict]:
     """Read a runs.csv back into typed rows (inverse of the writer).
 
-    Raises ValueError when the file lacks a runs.csv column.
+    Raises ValueError when the file lacks a runs.csv column or a row's cell
+    count differs from the header's.
     """
     int_cols = {"dimension", "rate", "suggestions", "cycles", "pool_size", "seed",
                 "convergence_cycle", "true_evals"}
@@ -511,6 +515,8 @@ def read_runs_csv(path: Path) -> list[dict]:
         if missing:
             raise ValueError(f"{path} is not a runs.csv: no column {', '.join(missing)}")
         for raw in reader:
+            if None in raw or None in raw.values():  # DictReader's marks of a long row and a short one
+                raise ValueError(f"{path}, line {reader.line_num}: the row's cell count differs from the header's")
             row = {}
             for key, text in raw.items():
                 if text == "":

@@ -16,6 +16,8 @@ Both expose ``predict(points) -> scores``, which maps an (m, d) array to
 
 ``EvaluatedPool`` holds the evaluated points and their fitness as two
 read-only arrays; it is also the exclusion set (see ``EXCLUSION_EPSILON``).
+Every distance is scipy's Euclidean one, ``pdist`` in the RBF fit and
+``cdist`` elsewhere: an entry has the same bits in any batch and in the fit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .linalg import SingularMatrixError, solve, solve_symmetric
 
@@ -98,7 +100,7 @@ class EvaluatedPool:
         points = _check_points(points)
         if len(self) == 0:
             return np.full(len(points), math.inf)
-        return np.sqrt(squared_distances(points, self._points).min(axis=1))
+        return cdist(points, self._points).min(axis=1)
 
     def best_fitness(self) -> float:
         return float(self._fitness.min())
@@ -159,8 +161,7 @@ class RbfModel:
 
     def predict(self, points) -> np.ndarray:
         x = _check_points(points, self.centers.shape[1])
-        dist = squared_distances(x, self.centers)
-        return _row_dots(gaussian_bump(np.sqrt(dist, out=dist), self.sigma), self.weights)
+        return _row_dots(gaussian_bump(cdist(x, self.centers), self.sigma), self.weights)
 
 
 @dataclass(frozen=True)
@@ -184,44 +185,6 @@ def _check_points(points, d: int | None = None) -> np.ndarray:
     return x
 
 
-def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(m, n) squared distances from (m, d) points to (n, d) centers.
-
-    Row i is bitwise ``np.sum((centers - points[i]) ** 2, axis=1)``, the
-    per-point formula, so batching changes no output. The coordinate axis
-    goes first: each elementwise step then runs over m * n contiguous values
-    instead of m * n rows of d, several times faster for small d.
-    """
-    diffs = np.ascontiguousarray(centers.T)[:, None, :] - points.T[:, :, None]
-    return _pairwise_sum(list(np.multiply(diffs, diffs, out=diffs)))
-
-
-def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays in the order ``np.sum`` adds a row.
-
-    numpy adds fewer than 8 terms left to right, up to 128 in eight
-    interleaved partial sums, and more by halves. It starts from 0.0, which
-    changes no bit of the non-negative terms summed here.
-    """
-    n = len(terms)
-    if n < 8:
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        return total
-    if n <= 128:
-        r = terms[:8]
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            r = [r[j] + terms[i + j] for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for t in terms[stop:]:
-            total = total + t
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
 def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """rows @ w, one stacked vector dot per row.
 
@@ -235,10 +198,9 @@ def first_distinct(points: np.ndarray, clear: np.ndarray | None = None) -> np.nd
     """Mask of the (k, d) rows that taking them one at a time in order keeps.
 
     Row i is kept when ``clear[i]`` holds (by default every row is clear) and
-    it is more than EXCLUSION_EPSILON from every earlier kept row. The
-    distances are ``squared_distances`` rows, bitwise the per-point check.
-    Rows are compared in chunks of DISTINCT_CHUNK_ROWS, so memory grows with
-    k, not k^2.
+    it is more than EXCLUSION_EPSILON from every earlier kept row, by the
+    ``cdist`` distance that ``min_distance`` uses. Rows are compared in
+    chunks of DISTINCT_CHUNK_ROWS, so memory grows with k, not k^2.
 
     A chunk whose near pairs are all exact copies (the GA's clones) is
     decided in one step: equality is transitive, so a row is dropped iff an
@@ -249,8 +211,7 @@ def first_distinct(points: np.ndarray, clear: np.ndarray | None = None) -> np.nd
     keep = np.ones(len(points), dtype=bool) if clear is None else np.array(clear, dtype=bool)
     for start in range(0, len(points), DISTINCT_CHUNK_ROWS):
         stop = min(start + DISTINCT_CHUNK_ROWS, len(points))
-        dist = squared_distances(points[start:stop], points[:stop])
-        close = np.sqrt(dist, out=dist) <= EXCLUSION_EPSILON
+        close = cdist(points[start:stop], points[:stop]) <= EXCLUSION_EPSILON
         rows, cols = np.nonzero(close)
         rows += start
         earlier = cols < rows  # a row looks back only at the rows before it

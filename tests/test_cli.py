@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sagrs.cli import cli_main
-from sagrs.harness import read_runs_csv
+from sagrs.harness import RUN_CSV_COLUMNS, read_runs_csv
 
 TINY = ["--pool-size", "8", "--reps", "2", "--ga-pop", "10",
         "--cycles", "3", "--suggestions", "2", "--seed", "5"]
@@ -187,23 +187,33 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     (["run", "--config", {"system": "ga", "ga_elitism": 0.5}], "elitism must be an integer"),
     (["run", "--config", {"ga": {"population_size": 10}}], "set it through the ga_* config keys"),
     (["run", "--config", {"ga": None}], "ga must be a GaConfig, got None"),
+    (["run", "--config", {"ga_mutation_scale": float("nan")}], "mutation_scale must be a finite number"),
+    # a runs.csv header over a row with too few cells, or too many
+    (["stats", "{short_row_csv}"], "short.csv, line 2: the row's cell count differs"),
+    (["stats", "{long_row_csv}"], "long.csv, line 3: the row's cell count differs"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
         "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
         "config-seed-float", "config-jobs-float", "config-pool-size-float", "config-window-float",
         "config-rates-str", "config-suggestions-float", "config-cycles-bool",
         "config-pool-handling-unknown", "config-ga-pop-float", "config-ga-elitism-float",
-        "config-ga-dict", "config-ga-null"])
+        "config-ga-dict", "config-ga-null", "config-ga-mutation-scale-nan", "stats-short-row",
+        "stats-long-row"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")
+    header = ",".join(RUN_CSV_COLUMNS)
+    short_row_csv, long_row_csv = tmp_path / "short.csv", tmp_path / "long.csv"
+    short_row_csv.write_text(f"{header}\nx,ga,ackley,2,,4,3\n")
+    long_row_csv.write_text(f"{header}\n{','.join('1' * len(RUN_CSV_COLUMNS))}\n{header},1\n")
 
     def fill(arg):
         if isinstance(arg, dict):  # a config file: VALID_CONFIG with these settings over it
             path = tmp_path / "config.json"
             path.write_text(json.dumps({**VALID_CONFIG, "out_dir": str(tmp_path / "out"), **arg}))
             return str(path)
-        return arg.format(out=tmp_path / "out", foreign_csv=foreign_csv)
+        return arg.format(out=tmp_path / "out", foreign_csv=foreign_csv, short_row_csv=short_row_csv,
+                          long_row_csv=long_row_csv)
 
     argv = [fill(a) for a in argv]
     with pytest.raises(SystemExit) as excinfo:
@@ -214,3 +224,20 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     assert err.startswith(f"usage: sagrs {argv[0]} ")  # the usage of the command that ran
     assert err.count("error:") == 1  # after argparse's usage text, one message line
     assert not (tmp_path / "out").exists()  # rejected before any run started
+
+
+@pytest.mark.parametrize("command, under", [("run", True), ("run", False), ("compare", True), ("compare", False)])
+def test_unusable_out_is_usage_error(tmp_path, capsys, command, under):
+    # --out through a regular file, or onto one: no directory can be made there
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "x" if under else blocker
+    argv = [command, "--objective", "ackley", "--reps", "1", "--cycles", "2", "--pool-size", "8",
+            "--ga-pop", "10", "--out", str(out)]
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv + (["--system", "sagrs-lsm"] if command == "run" else []))
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: sagrs {command} ") and "Traceback" not in err
+    assert err.count("error:") == 1 and f"cannot create output directory {out}" in err
+    assert blocker.read_text() == "kept"

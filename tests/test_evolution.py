@@ -37,6 +37,12 @@ def test_config_validation():
     for counts in ({"population_size": 10.5}, {"population_size": True}, {"elitism": 0.5}, {"elitism": False}):
         with pytest.raises(ValueError, match="must be an integer"):
             GaConfig(**counts)
+    for rates in ({"mutation_scale": float("nan")}, {"mutation_scale": float("inf")},
+                  {"selection_factor": float("nan")}, {"recombination_prob": float("-inf")},
+                  {"selection_factor": True}, {"mutation_prob": True}, {"recombination_prob": False},
+                  {"mutation_scale": True}, {"mutation_prob": "0.1"}):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            GaConfig(**rates)
 
 
 def test_init_population_in_domain_and_deterministic():

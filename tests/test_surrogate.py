@@ -19,7 +19,6 @@ from sagrs.surrogate import (
     fit_or_fallback,
     fit_rbf,
     gaussian_bump,
-    squared_distances,
 )
 
 
@@ -474,14 +473,21 @@ def lsm_row_reference(model, x):
     return float(model.theta[0] + model.theta[1 : d + 1] @ x + model.theta[d + 1 :] @ (x * x))
 
 
+def distance_row_reference(centers, x):
+    """Distances from x to each center, squared differences summed in coordinate order."""
+    diffs = centers - x
+    total = np.zeros(len(centers))
+    for term in (diffs * diffs).T:
+        total = total + term
+    return np.sqrt(total)
+
+
 def rbf_row_reference(model, x):
-    dist = np.sqrt(np.sum((model.centers - x) ** 2, axis=1))
-    return float(model.weights @ bump_reference(dist, model.sigma))
+    return float(model.weights @ bump_reference(distance_row_reference(model.centers, x), model.sigma))
 
 
 def min_distance_row_reference(pool, x):
-    diffs = pool.points() - x
-    return float(np.sqrt(np.min(np.sum(diffs * diffs, axis=1))))
+    return float(np.min(distance_row_reference(pool.points(), x)))
 
 
 @pytest.mark.parametrize("size", [20, 60, 150, 400, 900])
@@ -504,14 +510,31 @@ def test_batch_predict_and_min_distance_match_row_references_bitwise(size):
 
 @pytest.mark.parametrize("dimension", [*range(1, 20), 64, 127, 128, 129, 136, 300])
 def test_squared_distances_match_per_point_sums_bitwise(dimension):
-    # numpy sums a row in blocks of 8 and halves past 128; the coordinate
-    # planes must be added in that same order
+    # the pool's distances sum the squared differences in coordinate order,
+    # as pdist does; np.sum adds in another order from 8 coordinates on
     rng = np.random.default_rng(dimension)
     scale = 10.0 ** rng.uniform(-6, 6, size=dimension)
     centers = rng.standard_normal((40, dimension)) * scale
     points = np.vstack([rng.standard_normal((15, dimension)) * scale, centers[:3]])
-    want = np.array([np.sum((centers - x) ** 2, axis=1) for x in points])
-    assert squared_distances(points, centers).tobytes() == want.tobytes()
+    want = np.array([distance_row_reference(centers, x) for x in points])
+    # column j: the distances to a pool holding centers[j] alone
+    got = np.column_stack([pool_from([c], [0.0]).min_distance(points) for c in centers])
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == squareform(pdist(np.vstack([points, centers])))[: len(points), len(points) :].tobytes()
+    assert pool_from(centers, np.zeros(40)).min_distance(points).tobytes() == want.min(axis=1).tobytes()
+    if dimension <= 7:
+        per_point = np.array([np.sqrt(np.sum((centers - x) ** 2, axis=1)) for x in points])
+        assert got.tobytes() == per_point.tobytes()
+
+
+@pytest.mark.parametrize("name, dimension", [("bohachevsky", 2), ("schwefel", 5), ("ackley", 9), ("ackley", 64)])
+def test_rbf_scores_its_centers_with_the_fit_rows_bitwise(name, dimension):
+    obj = make_objective(name, dimension)
+    pts = obj.sample_uniform(np.random.default_rng(dimension), 120)
+    model = fit_rbf(pool_from(pts, [obj.evaluate(p) for p in pts]))
+    phi = squareform(gaussian_bump(pdist(pts), model.sigma))
+    want = np.array([row @ model.weights for row in phi])
+    assert model.predict(pts).tobytes() == want.tobytes()
 
 
 def test_batch_shapes_and_empty_pool():
@@ -526,6 +549,12 @@ def test_batch_shapes_and_empty_pool():
     assert EvaluatedPool().min_distance(np.zeros((2, 3))).tolist() == [math.inf, math.inf]
     with pytest.raises(ValueError):
         pool_from([(0.0, 0.0)], [1.0]).min_distance([0.0, 0.0])
+    for dimension in (2, 9):  # no rows against a non-empty pool
+        pool = pool_from(np.eye(3, dimension), [1.0, 2.0, 3.0])
+        none = np.zeros((0, dimension))
+        assert pool.min_distance(none).shape == (0,)
+        assert fit_rbf(pool).predict(none).shape == (0,)
+        assert surrogate_mod.first_distinct(none).shape == (0,)
 
 
 def predict_row_by_row(self, points):
