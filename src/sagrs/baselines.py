@@ -72,9 +72,15 @@ class BaselineResult:
 def ga_baseline_shape(n_eval: int) -> tuple[int, int]:
     """Population size and generation count for an evaluation budget."""
     if n_eval < 4:
-        raise ValueError("budget must be >= 4 to shape a GA run")
+        raise ValueError(f"budget must be >= 4 to shape a GA run, got {n_eval}")
     side = math.isqrt(n_eval)
     return side, side
+
+
+def shape_ga(n_eval: int, ga: GaConfig | None = None) -> tuple[GaConfig, int]:
+    """run_ga_baseline's GA and generation count for an n_eval budget; ValueError if none fits it."""
+    n_pop, n_gen = ga_baseline_shape(n_eval)
+    return replace(ga if ga is not None else GaConfig(), population_size=n_pop), n_gen
 
 
 def run_ga_baseline(
@@ -89,8 +95,7 @@ def run_ga_baseline(
     the run normally finishes all generations under budget; if the budget
     runs out mid-generation the run stops there and reports what it saw.
     """
-    n_pop, n_gen = ga_baseline_shape(n_eval)
-    cfg = replace(ga if ga is not None else GaConfig(), population_size=n_pop)
+    cfg, n_gen = shape_ga(n_eval, ga)
     rng = rng if rng is not None else np.random.default_rng()
     budgeted = BudgetedObjective(obj, n_eval)
     population = init_population(obj, cfg, rng)
@@ -108,7 +113,7 @@ def run_ga_baseline(
         best_point=budgeted.best_point,
         true_evaluations_used=budgeted.used,
         generations_run=generations,
-        population_size=n_pop,
+        population_size=cfg.population_size,
         generations_planned=n_gen,
     )
 

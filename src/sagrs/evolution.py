@@ -62,7 +62,7 @@ class GaConfig:
         if self.mutation_scale < 0.0:
             raise ValueError("mutation_scale must be >= 0")
         if not 0 <= self.elitism < self.population_size:
-            raise ValueError("elitism must be in [0, population_size)")
+            raise ValueError(f"elitism must be in [0, population_size {self.population_size}), got {self.elitism}")
 
 
 @dataclass(eq=False)

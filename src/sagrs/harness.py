@@ -27,10 +27,10 @@ import scipy
 import scipy.linalg
 
 from . import __version__, objectives
-from .baselines import run_ga_baseline, run_random_recommender
+from .baselines import run_ga_baseline, run_random_recommender, shape_ga
 from .evolution import GA_RNG_LAYOUT, GaConfig, is_int
 from .objectives import make_objective
-from .recommender import EXCLUSION_EPSILON, POOL_HANDLING_MODES, SagrsConfig, run_sagrs
+from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
 
 SYSTEMS = ("sagrs-lsm", "sagrs-rbf", "ga", "random-lsm", "random-rbf")
 
@@ -110,39 +110,23 @@ class ExperimentSpec:
         self.pool_handling = tuple(self.pool_handling)
         self.out_dir = Path(self.out_dir)
         # A config file bypasses argparse's types and choices, so check them here.
-        window = () if self.training_window is None else ("training_window",)
-        for name in ("dimension", "pool_size", "repetitions", "base_seed", "jobs", *window):
+        for name in ("dimension", "pool_size", "repetitions", "base_seed", "jobs"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for axis_name in ("rates", "suggestions", "cycles"):
-            if not all(map(is_int, getattr(self, axis_name))):
-                raise ValueError(f"{axis_name} must be integers, got {getattr(self, axis_name)!r}")
         if not isinstance(self.ga, GaConfig):
             raise ValueError(f"ga must be a GaConfig, got {self.ga!r}; set it through the ga_* config keys")
-        if any(mode not in POOL_HANDLING_MODES for mode in self.pool_handling):
-            raise ValueError(f"pool_handling must be among {POOL_HANDLING_MODES}, got {self.pool_handling!r}")
-        # Rejects an unknown objective or a dimension it does not support.
-        # Called through the module: the harness's own make_objective is the
-        # name runs resolve, and perfbench swaps it for one that logs a run.
-        objectives.make_objective(self.objective, self.dimension)
         if self.system not in SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}; choose from {SYSTEMS}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         for axis_name in ("rates", "suggestions", "cycles", "pool_handling"):
             if not getattr(self, axis_name):
                 raise ValueError(f"sweep axis {axis_name} must be nonempty")
-        # No system can run these; a negative rate or a pool too small for
-        # the surrogate stays a per-run failure.
-        for axis_name in ("suggestions", "cycles"):
-            if min(getattr(self, axis_name)) < 1:
-                raise ValueError(f"{axis_name} must be >= 1, got {getattr(self, axis_name)}")
-        if self.training_window is not None and self.training_window < 1:
-            raise ValueError(f"training_window must be >= 1 when set, got {self.training_window}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        _build_jobs(self)  # checks each grid point's SagrsConfig, which owns the loop settings
 
 
 @dataclass
@@ -158,53 +142,58 @@ class ExperimentResult:
         return not self.failures
 
 
+# The row cells of the coordinates a system does not use; random-* runs rate 0 with resets.
+_SHOWN_CELLS = {"ga": {"rate": None, "pool_handling": None},
+                **dict.fromkeys(("random-lsm", "random-rbf"), {"rate": 0, "pool_handling": "reset"})}
+
+
 def _build_jobs(spec: ExperimentSpec) -> list[dict]:
+    """One job per run with its grid point's checked SagrsConfig; ValueError names a point no run can use."""
+    # Called through the module: the harness's own make_objective is the
+    # name runs resolve, and perfbench swaps it for one that logs a run.
+    obj = objectives.make_objective(spec.objective, spec.dimension)
+    kind = "lsm" if spec.system == "ga" else spec.system.rsplit("-", 1)[1]  # the GA fits no surrogate
     jobs = []
     grid = itertools.product(spec.rates, spec.suggestions, spec.cycles, spec.pool_handling)
     for rate, sugg, cyc, handling in grid:
+        try:
+            cfg = SagrsConfig(model_kind=kind, evaluation_rate=rate, suggestions_per_cycle=sugg, cycles=cyc,
+                              pool_handling=handling, initial_pool_size=spec.pool_size, ga=spec.ga,
+                              training_window=spec.training_window)
+            if spec.system == "ga":  # run_ga_baseline's own shaping checks the budget and the elitism
+                shape_ga(cfg.budget, cfg.ga)
+            else:
+                cfg.validate_for(obj)
+        except ValueError as exc:
+            raise ValueError(f"{spec.system} at rate {rate!r}, suggestions {sugg!r}, cycles {cyc!r}, "
+                             f"pool_handling {handling!r}: {exc}") from None
         point = (spec.system, spec.objective, spec.dimension, rate, sugg, cyc, handling, spec.pool_size)
         for rep in range(spec.repetitions):
             jobs.append({
                 "run_id": "{}_{}_d{}_r{}_s{}_c{}_{}_p{}_rep{:02d}".format(*point, rep),
                 **dict(zip(GRID_KEY_COLUMNS, point)),
+                **_SHOWN_CELLS.get(spec.system, {}),
                 "seed": derive_seed(spec.base_seed, *point, rep),
-                "ga": spec.ga,
-                "training_window": spec.training_window,
+                "config": cfg,
             })
     return jobs
 
 
 def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
-    """Run one job; returns (summary row, cycle rows, error message or None)."""
+    """Run one job's config; returns (summary row, cycle rows, error message or None)."""
     # run coordinates come from the job; metric cells stay empty until set
     row = {column: job.get(column) for column in RUN_CSV_COLUMNS}
     cycle_rows: list[dict] = []
     try:
         obj = make_objective(job["objective"], job["dimension"])
         rng = np.random.default_rng(job["seed"])
-        system = job["system"]
-        if system == "ga":
-            n_eval = job["pool_size"] + job["cycles"] * job["suggestions"]
-            result = run_ga_baseline(obj, n_eval, ga=job["ga"], rng=rng)
-            row.update({"rate": None, "pool_handling": None})
+        cfg = job["config"]  # checked when the job was built
+        if job["system"] == "ga":
+            result = run_ga_baseline(obj, cfg.budget, ga=cfg.ga, rng=rng)
             metrics = (result.best_fitness, None, None, result.true_evaluations_used)
         else:
-            kind = system.rsplit("-", 1)[1]
-            cfg = SagrsConfig(
-                model_kind=kind,
-                evaluation_rate=job["rate"],
-                suggestions_per_cycle=job["suggestions"],
-                cycles=job["cycles"],
-                pool_handling=job["pool_handling"],
-                initial_pool_size=job["pool_size"],
-                ga=job["ga"],
-                training_window=job["training_window"],
-            )
-            if system.startswith("random-"):
-                result = run_random_recommender(obj, cfg, rng)
-                row.update({"rate": 0, "pool_handling": "reset"})
-            else:
-                result = run_sagrs(obj, cfg, rng)
+            run = run_random_recommender if job["system"].startswith("random-") else run_sagrs
+            result = run(obj, cfg, rng)
             metrics = (result.best_fitness, result.convergence_cycle, result.acceptance_rate,
                        result.true_evaluations_used)
             cycle_rows = [
@@ -267,7 +256,8 @@ def _one_blas_thread() -> list[tuple]:
 
 def _run_jobs(jobs: list[dict], n_workers: int):
     """Run the jobs with one BLAS thread; returns the outcomes and that count as the runs read it."""
-    if n_workers > 1 and len(jobs) > 1:
+    n_workers = min(n_workers, len(jobs))  # a fork start forks every worker at the first submit
+    if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread) as pool:
             return list(pool.map(_execute_job, jobs)), pool.submit(_openblas_threads).result()
     found = _one_blas_thread()
@@ -502,12 +492,12 @@ def run_compare(
 def read_runs_csv(path: Path) -> list[dict]:
     """Read a runs.csv back into typed rows (inverse of the writer).
 
-    Raises ValueError when the file lacks a runs.csv column or a row's cell
-    count differs from the header's.
+    Raises ValueError when the file lacks a runs.csv column, a row's cell
+    count differs from the header's, or a numeric cell does not parse.
     """
-    int_cols = {"dimension", "rate", "suggestions", "cycles", "pool_size", "seed",
-                "convergence_cycle", "true_evals"}
-    float_cols = {"best_fitness", "acceptance_rate"}
+    parsers = {**dict.fromkeys(("dimension", "rate", "suggestions", "cycles", "pool_size", "seed",
+                                "convergence_cycle", "true_evals"), int),
+               **dict.fromkeys(("best_fitness", "acceptance_rate"), float)}
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -519,13 +509,9 @@ def read_runs_csv(path: Path) -> list[dict]:
                 raise ValueError(f"{path}, line {reader.line_num}: the row's cell count differs from the header's")
             row = {}
             for key, text in raw.items():
-                if text == "":
-                    row[key] = None
-                elif key in int_cols:
-                    row[key] = int(text)
-                elif key in float_cols:
-                    row[key] = float(text)
-                else:
-                    row[key] = text
+                try:
+                    row[key] = None if text == "" else parsers.get(key, str)(text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}, column {key}: {exc}") from None
             rows.append(row)
     return rows

@@ -57,6 +57,11 @@ class SagrsConfig:
         if self.training_window is not None and self.training_window < 1:
             raise ValueError("training_window must be >= 1 when set")
 
+    @property
+    def budget(self) -> int:
+        """True evaluations a run spends: the initial pool and every cycle's suggestions."""
+        return self.initial_pool_size + self.cycles * self.suggestions_per_cycle
+
     def validate_for(self, obj: Objective) -> None:
         floor = max(2 * obj.dimension + 1, 2)
         if self.initial_pool_size < floor:

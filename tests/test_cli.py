@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sagrs import harness
 from sagrs.cli import cli_main
 from sagrs.harness import RUN_CSV_COLUMNS, read_runs_csv
 
@@ -130,11 +131,15 @@ def test_sweep_rates_preset(tmp_path):
     assert len(rows) == 14
 
 
-def test_failed_runs_exit_one(tmp_path):
+def test_failed_runs_exit_one(tmp_path, monkeypatch):
+    def run_sagrs(obj, cfg, rng):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(harness, "run_sagrs", run_sagrs)
     code = cli_main(["run", "--objective", "bohachevsky", "--system", "sagrs-lsm",
-                     "--out", str(tmp_path / "f"), "--pool-size", "4", "--reps", "1",
+                     "--out", str(tmp_path / "f"), "--pool-size", "8", "--reps", "1",
                      "--cycles", "2", "--suggestions", "1", "--ga-pop", "10"])
-    assert code == 1  # pool_size 4 < 2d+1 fails config validation per run
+    assert code == 1  # every run raised inside the batch
 
 
 def test_compare_prints_summary_median(tmp_path, capsys):
@@ -165,7 +170,8 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--out", "{out}", *TINY,
       "--cycles", "0"], "cycles must be >= 1"),
     (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--out", "{out}", *TINY,
-      "--suggestions", "2", "0"], "suggestions must be >= 1"),
+      "--suggestions", "2", "0"], "rate 1, suggestions 0, cycles 3, pool_handling 'reset': "
+                                  "suggestions_per_cycle must be >= 1"),
     (["run", "--objective", "ackley", "--system", "ga", "--pool-size", "-3", "--cycles", "2",
       "--suggestions", "4", "--reps", "1", "--ga-pop", "10", "--out", "{out}"], "pool_size must be >= 1"),
     (["compare", "--objective", "ackley", "--reps", "1", "--cycles", "3", "--pool-size", "0",
@@ -179,10 +185,14 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     (["run", "--config", {"jobs": 1.5}], "jobs must be an integer"),
     (["run", "--config", {"pool_size": 10.5}], "pool_size must be an integer"),
     (["run", "--config", {"training_window": 2.5}], "training_window must be an integer"),
-    (["run", "--config", {"rates": ["x"]}], "rates must be integers"),
-    (["run", "--config", {"suggestions": [2.5]}], "suggestions must be integers"),
-    (["run", "--config", {"cycles": [True]}], "cycles must be integers"),
-    (["run", "--config", {"pool_handling": ["sometimes"]}], "pool_handling must be among"),
+    (["run", "--config", {"rates": ["x"]}], "rate 'x', suggestions 2, cycles 2, pool_handling 'reset': "
+                                            "evaluation_rate must be an integer, got 'x'"),
+    (["run", "--config", {"suggestions": [2.5]}], "suggestions 2.5, cycles 2, pool_handling 'reset': "
+                                                  "suggestions_per_cycle must be an integer, got 2.5"),
+    (["run", "--config", {"cycles": [True]}], "cycles True, pool_handling 'reset': "
+                                              "cycles must be an integer, got True"),
+    (["run", "--config", {"pool_handling": ["sometimes"]}], "pool_handling 'sometimes': pool_handling "
+                                                            "must be one of ('reset', 'no_reset')"),
     (["run", "--config", {"ga_population_size": 10.5}], "population_size must be an integer"),
     (["run", "--config", {"system": "ga", "ga_elitism": 0.5}], "elitism must be an integer"),
     (["run", "--config", {"ga": {"population_size": 10}}], "set it through the ga_* config keys"),
@@ -191,6 +201,24 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     # a runs.csv header over a row with too few cells, or too many
     (["stats", "{short_row_csv}"], "short.csv, line 2: the row's cell count differs"),
     (["stats", "{long_row_csv}"], "long.csv, line 3: the row's cell count differs"),
+    # a cell that is not a number where runs.csv holds one
+    (["stats", "{bad_int_csv}"], "bad-int.csv, line 2, column dimension: invalid literal for int()"),
+    (["stats", "{bad_float_csv}"], "bad-float.csv, line 2, column best_fitness: could not convert"),
+    # grid points no run can use: they used to start a batch of failed runs
+    (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--rate", "-1", "--out", "{out}", *TINY],
+     "sagrs-lsm at rate -1, suggestions 2, cycles 3, pool_handling 'reset': evaluation_rate must be >= 0"),
+    (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--out", "{out}", *TINY, "--pool-size", "2"],
+     "initial_pool_size must be >= 5 at dimension 2"),
+    (["run", "--objective", "ackley", "--system", "ga", "--pool-size", "1", "--cycles", "1",
+      "--suggestions", "1", "--reps", "1", "--out", "{out}"], "budget must be >= 4 to shape a GA run, got 2"),
+    (["run", "--config", {"system": "ga", "ga_elitism": 5, "suggestions": [4]}],
+     "ga at rate 1, suggestions 4, cycles 2, pool_handling 'reset': elitism must be in [0, population_size 4), "
+     "got 5"),
+    (["compare", "--objective", "ackley", "--reps", "1", "--cycles", "3", "--pool-size", "2",
+      "--ga-pop", "10", "--out", "{out}"], "sagrs-lsm at rate 16, suggestions 8, cycles 3, pool_handling "
+                                           "'reset': initial_pool_size must be >= 5 at dimension 2"),
+    (["run", "--objective", "ackley", "--system", "ga", "--rate", "-3", "--out", "{out}", *TINY],
+     "ga at rate -3, suggestions 2, cycles 3, pool_handling 'reset': evaluation_rate must be >= 0"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
         "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
@@ -198,7 +226,8 @@ def test_compare_prints_summary_median(tmp_path, capsys):
         "config-rates-str", "config-suggestions-float", "config-cycles-bool",
         "config-pool-handling-unknown", "config-ga-pop-float", "config-ga-elitism-float",
         "config-ga-dict", "config-ga-null", "config-ga-mutation-scale-nan", "stats-short-row",
-        "stats-long-row"])
+        "stats-long-row", "stats-bad-int", "stats-bad-float", "run-rate-negative", "run-pool-size-2",
+        "run-ga-budget-2", "config-ga-elitism-over-shaped-pop", "compare-pool-size-2", "run-ga-rate-negative"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")
@@ -206,6 +235,10 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     short_row_csv, long_row_csv = tmp_path / "short.csv", tmp_path / "long.csv"
     short_row_csv.write_text(f"{header}\nx,ga,ackley,2,,4,3\n")
     long_row_csv.write_text(f"{header}\n{','.join('1' * len(RUN_CSV_COLUMNS))}\n{header},1\n")
+    row = dict.fromkeys(RUN_CSV_COLUMNS, "")
+    bad_int_csv, bad_float_csv = tmp_path / "bad-int.csv", tmp_path / "bad-float.csv"
+    bad_int_csv.write_text(f"{header}\n{','.join({**row, 'dimension': 'abc'}.values())}\n")
+    bad_float_csv.write_text(f"{header}\n{','.join({**row, 'best_fitness': 'zz'}.values())}\n")
 
     def fill(arg):
         if isinstance(arg, dict):  # a config file: VALID_CONFIG with these settings over it
@@ -213,7 +246,7 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
             path.write_text(json.dumps({**VALID_CONFIG, "out_dir": str(tmp_path / "out"), **arg}))
             return str(path)
         return arg.format(out=tmp_path / "out", foreign_csv=foreign_csv, short_row_csv=short_row_csv,
-                          long_row_csv=long_row_csv)
+                          long_row_csv=long_row_csv, bad_int_csv=bad_int_csv, bad_float_csv=bad_float_csv)
 
     argv = [fill(a) for a in argv]
     with pytest.raises(SystemExit) as excinfo:

@@ -1,11 +1,12 @@
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from sagrs import harness
+from sagrs.evolution import GaConfig
 from sagrs.harness import (
     CYCLE_CSV_COLUMNS,
     GRID_KEY_COLUMNS,
@@ -20,12 +21,11 @@ from sagrs.harness import (
     run_experiment,
     summarize,
 )
+from sagrs.recommender import SagrsConfig
 from sagrs.surrogate import EXCLUSION_EPSILON
 
 
 def tiny_spec(out_dir, **overrides):
-    from sagrs.evolution import GaConfig
-
     defaults = dict(
         objective="bohachevsky",
         system="sagrs-lsm",
@@ -185,8 +185,16 @@ def test_all_systems_run(tmp_path):
             assert row["rate"] == 0 and row["pool_handling"] == "reset"
 
 
-def test_failed_run_recorded_batch_continues(tmp_path):
-    spec = tiny_spec(tmp_path / "exp", rates=(1, -1), repetitions=1)
+def test_failed_run_recorded_batch_continues(tmp_path, monkeypatch):
+    original = harness.run_sagrs
+
+    def run_sagrs(obj, cfg, rng):  # every run at rate 2 raises inside the batch
+        if cfg.evaluation_rate == 2:
+            raise RuntimeError("injected failure")
+        return original(obj, cfg, rng)
+
+    monkeypatch.setattr(harness, "run_sagrs", run_sagrs)
+    spec = tiny_spec(tmp_path / "exp", rates=(1, 2), repetitions=1)
     result = run_experiment(spec)
     assert len(result.failures) == 1
     assert not result.ok
@@ -199,6 +207,34 @@ def test_failed_run_recorded_batch_continues(tmp_path):
     assert rows == result.run_rows
 
 
+def test_jobs_carry_their_config_and_row_cells(tmp_path):
+    configs = {}
+    shown = {"ga": (None, None), "random-lsm": (0, "reset"), "random-rbf": (0, "reset")}
+    for system in SYSTEMS:
+        [job] = harness._build_jobs(tiny_spec(tmp_path, system=system, rates=(3,), repetitions=1))
+        configs[system] = job["config"]
+        assert (job["rate"], job["pool_handling"]) == shown.get(system, (3, "reset"))
+        # run_id and seed come from the given coordinates
+        assert job["run_id"] == f"{system}_bohachevsky_d2_r3_s2_c3_reset_p8_rep00"
+        assert job["seed"] == derive_seed(0, system, "bohachevsky", 2, 3, 2, 3, "reset", 8, 0)
+    assert configs["sagrs-rbf"] == SagrsConfig(model_kind="rbf", evaluation_rate=3, suggestions_per_cycle=2,
+                                               cycles=3, initial_pool_size=8, ga=GaConfig(population_size=10))
+    assert configs["ga"].budget == 8 + 3 * 2
+
+
+@pytest.mark.parametrize("system, cells", [("ga", (None, None)), ("random-lsm", (0, "reset"))])
+def test_failed_row_shows_the_cells_a_finished_one_does(tmp_path, monkeypatch, system, cells):
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(harness, "run_ga_baseline", fail)
+    monkeypatch.setattr(harness, "run_random_recommender", fail)
+    result = run_experiment(tiny_spec(tmp_path / "exp", system=system, repetitions=1))
+    [row] = result.run_rows
+    assert result.failures and row["best_fitness"] is None
+    assert (row["rate"], row["pool_handling"]) == cells
+
+
 def test_parallel_jobs_match_serial_bytes(tmp_path):
     run_experiment(tiny_spec(tmp_path / "serial", repetitions=4, jobs=1))
     run_experiment(tiny_spec(tmp_path / "parallel", repetitions=4, jobs=2))
@@ -207,8 +243,6 @@ def test_parallel_jobs_match_serial_bytes(tmp_path):
 
 
 def test_compare_rerun_in_parallel_matches_bytes(tmp_path):
-    from sagrs.evolution import GaConfig
-
     for name, jobs in (("serial", 1), ("parallel", 2)):
         run_compare("ackley", repetitions=2, cycles=3, pool_size=8, base_seed=4,
                     ga=GaConfig(population_size=10), out_dir=tmp_path / name, jobs=jobs)
@@ -217,8 +251,6 @@ def test_compare_rerun_in_parallel_matches_bytes(tmp_path):
 
 
 def test_compare_runs_csv_round_trips(tmp_path):
-    from sagrs.evolution import GaConfig
-
     comparison = run_compare("ackley", repetitions=1, cycles=2, pool_size=8, base_seed=3,
                              ga=GaConfig(population_size=10), out_dir=tmp_path / "cmp")
     rows = comparison.result.run_rows
@@ -245,8 +277,10 @@ def test_spec_validation():
         ({"repetitions": True}, "repetitions must be an integer"),
         ({"base_seed": 0.5}, "base_seed must be an integer"),
         ({"training_window": 2.5}, "training_window must be an integer"),
-        ({"rates": (1, 1.5)}, "rates must be integers"),
-        ({"pool_handling": ("reset", "sometimes")}, "pool_handling must be among"),
+        ({"rates": (1, 1.5)}, "ga at rate 1.5, suggestions 4, cycles 100, pool_handling 'reset': "
+                              "evaluation_rate must be an integer, got 1.5"),
+        ({"pool_handling": ("reset", "sometimes")}, "ga at rate 1, suggestions 4, cycles 100, "
+                                                    "pool_handling 'sometimes': pool_handling must be one of"),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(objective="ackley", system="ga", **bad)
@@ -288,6 +322,36 @@ def test_pool_worker_initializer_pins_one_blas_thread():
         set_threads(found)
 
 
+def test_pool_never_starts_more_workers_than_runs(tmp_path, monkeypatch):
+    # runs the jobs in this process: a real pool would fork every worker it is asked for
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def submit(self, fn):
+            future = Future()
+            future.set_result(fn())
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    result = run_experiment(tiny_spec(tmp_path / "exp", repetitions=3, jobs=500))
+    assert result.ok and len(result.run_rows) == 3
+    assert started == [3]
+    run_experiment(tiny_spec(tmp_path / "one", repetitions=1, jobs=500))
+    assert started == [3]  # a single run goes in-process
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_batch_runs_and_records_one_blas_thread(tmp_path, monkeypatch, jobs):
     initializers = []
@@ -307,8 +371,6 @@ def test_batch_runs_and_records_one_blas_thread(tmp_path, monkeypatch, jobs):
 
 
 def test_metadata_records_exclusion_epsilon(tmp_path):
-    from sagrs.evolution import GaConfig
-
     run_experiment(tiny_spec(tmp_path / "exp", repetitions=1))
     run_compare("ackley", repetitions=1, cycles=2, pool_size=8, ga=GaConfig(population_size=10),
                 out_dir=tmp_path / "cmp")
