@@ -137,12 +137,9 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     if command == "stats":
         path = flags["csv"]
-        if not path.exists():
-            print(f"no such file: {path}", file=sys.stderr)
-            return 1
         try:
             rows = read_runs_csv(path)
-        except OSError as exc:  # a directory, or a file that cannot be read
+        except OSError as exc:  # a missing file, a directory, or a file that cannot be read
             print(f"cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
             return 2
         except ValueError as exc:

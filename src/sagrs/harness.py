@@ -55,6 +55,14 @@ def default_out_dir() -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "results"))
 
 
+def default_jobs() -> int:
+    """The cores this process may run on, the default worker count of a batch."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no sched_getaffinity
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class SummaryStats:
     """Box-plot statistics of one metric over repetitions."""
@@ -101,7 +109,7 @@ class ExperimentSpec:
     out_dir: Path = field(default_factory=default_out_dir)
     ga: GaConfig = field(default_factory=GaConfig)
     training_window: int | None = None
-    jobs: int = 1
+    jobs: int = field(default_factory=default_jobs)
 
     def __post_init__(self):
         self.rates = tuple(self.rates)
@@ -240,28 +248,28 @@ def _openblas_threads() -> int | str:
 
 
 def _one_blas_thread() -> list[tuple]:
-    """Set each bundled OpenBLAS to one thread; returns (set, count found) pairs.
+    """Set each bundled OpenBLAS not at one thread to one; returns (set, count found) pairs of those.
 
-    The pool workers' initializer: workers with multi-threaded BLAS
-    oversubscribe the cores. The serial path calls it too and restores the
-    counts found after its runs, so a batch's bytes and metadata do not
-    depend on its worker count.
+    Also the pool's initializer, which pins a spawn or forkserver worker. A forked worker
+    inherits the batch's pin and sets nothing: setting a count restarts the threads, which spin.
     """
     found = []
     for get_threads, set_threads in _openblas_thread_controls().values():
-        found.append((set_threads, get_threads()))
-        set_threads(1)
+        count = get_threads()
+        if count != 1:
+            set_threads(1)
+            found.append((set_threads, count))
     return found
 
 
 def _run_jobs(jobs: list[dict], n_workers: int):
-    """Run the jobs with one BLAS thread; returns the outcomes and that count as the runs read it."""
+    """Run the jobs with one BLAS thread; returns the outcomes and that count, read inside the pin."""
     n_workers = min(n_workers, len(jobs))  # a fork start forks every worker at the first submit
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread) as pool:
-            return list(pool.map(_execute_job, jobs)), pool.submit(_openblas_threads).result()
-    found = _one_blas_thread()
+    found = _one_blas_thread()  # before the pool forks its workers
     try:
+        if n_workers > 1:
+            with ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread) as pool:
+                return list(pool.map(_execute_job, jobs)), _openblas_threads()
         return [_execute_job(job) for job in jobs], _openblas_threads()
     finally:
         for set_threads, count in found:
@@ -436,16 +444,18 @@ def run_compare(
     cycles: int = 100,
     pool_size: int = 100,
     ga: GaConfig | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> ComparisonResult:
     """Run all five systems on one objective, the plain GA capped at their budget.
 
     The cap is the largest budget any recommender configuration uses,
     pool_size + cycles * suggestions; ``true_evals`` in runs.csv is what a GA
-    run spent. Bad settings raise ValueError before the first run starts.
+    run spent. ``jobs`` defaults to default_jobs(). Bad settings raise
+    ValueError before the first run starts.
     """
     objectives.make_objective(objective, dimension)  # ValueError before the preset lookup
     ga = ga if ga is not None else GaConfig()
+    jobs = jobs if jobs is not None else default_jobs()
     out_dir = Path(out_dir) if out_dir is not None else default_out_dir() / f"compare_{objective}"
     lsm = COMPARE_PRESETS[(objective, "lsm")]
     rbf = COMPARE_PRESETS[(objective, "rbf")]

@@ -94,8 +94,9 @@ def test_stats_subcommand_prints_summary_json(tmp_path, capsys):
     assert stats["min"] <= stats["median"] <= stats["max"]
 
 
-def test_stats_missing_file(tmp_path):
-    assert cli_main(["stats", str(tmp_path / "nope.csv")]) == 1
+def test_stats_missing_file(tmp_path, capsys):
+    assert cli_main(["stats", str(tmp_path / "nope.csv")]) == 2
+    assert capsys.readouterr().err == f"cannot read {tmp_path / 'nope.csv'}: No such file or directory\n"
 
 
 def test_stats_unreadable_path_is_one_line_usage_error(tmp_path, capsys, monkeypatch):

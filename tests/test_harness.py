@@ -1,6 +1,6 @@
 import csv
 import json
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -194,7 +194,7 @@ def test_failed_run_recorded_batch_continues(tmp_path, monkeypatch):
         return original(obj, cfg, rng)
 
     monkeypatch.setattr(harness, "run_sagrs", run_sagrs)
-    spec = tiny_spec(tmp_path / "exp", rates=(1, 2), repetitions=1)
+    spec = tiny_spec(tmp_path / "exp", rates=(1, 2), repetitions=1, jobs=1)  # in-process, where the patch holds
     result = run_experiment(spec)
     assert len(result.failures) == 1
     assert not result.ok
@@ -322,13 +322,36 @@ def test_pool_worker_initializer_pins_one_blas_thread():
         set_threads(found)
 
 
+def fake_blas(monkeypatch, **counts):
+    """Swap the OpenBLAS thread controls for fakes at the given counts; returns the counts and the sets."""
+    sets = []
+
+    def control(name):
+        def set_threads(n):
+            sets.append((name, n))
+            counts[name] = n
+        return (lambda: counts[name]), set_threads
+
+    monkeypatch.setattr(harness, "_openblas_thread_controls", lambda: {name: control(name) for name in counts})
+    return counts, sets
+
+
+def test_one_blas_thread_sets_only_libraries_not_at_one(monkeypatch):
+    counts, sets = fake_blas(monkeypatch, scipy=2, numpy=1)
+    [(set_threads, found)] = harness._one_blas_thread()
+    assert sets == [("scipy", 1)] and found == 2
+    set_threads(found)  # the setter returned is the one of the library it set
+    assert counts == {"scipy": 2, "numpy": 1}
+
+
 def test_pool_never_starts_more_workers_than_runs(tmp_path, monkeypatch):
     # runs the jobs in this process: a real pool would fork every worker it is asked for
     started = []
+    counts, _ = fake_blas(monkeypatch, scipy=2, numpy=1)
 
     class InlinePool:
         def __init__(self, max_workers, initializer):
-            started.append(max_workers)
+            started.append((max_workers, counts["scipy"]))  # the count a forked worker inherits
 
         def __enter__(self):
             return self
@@ -339,17 +362,15 @@ def test_pool_never_starts_more_workers_than_runs(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-        def submit(self, fn):
-            future = Future()
-            future.set_result(fn())
-            return future
-
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     result = run_experiment(tiny_spec(tmp_path / "exp", repetitions=3, jobs=500))
     assert result.ok and len(result.run_rows) == 3
-    assert started == [3]
+    assert started == [(3, 1)]
+    assert counts == {"scipy": 2, "numpy": 1}  # restored after the batch
     run_experiment(tiny_spec(tmp_path / "one", repetitions=1, jobs=500))
-    assert started == [3]  # a single run goes in-process
+    assert started == [(3, 1)]  # a single run goes in-process
+    versions = json.loads((tmp_path / "exp" / "metadata.json").read_text())["versions"]
+    assert versions["scipy_openblas_threads"] == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
