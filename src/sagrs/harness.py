@@ -7,7 +7,7 @@ in an output directory as
     runs.csv       one summary row per run
     cycles.csv     one row per recommendation cycle per run
     summary.json   box-plot statistics per grid point and metric
-    metadata.json  every default that affects the numbers
+    metadata.json  the settings of each spec that ran, and every default that affects the numbers
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import hashlib
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -187,10 +187,13 @@ def _build_jobs(spec: ExperimentSpec) -> list[dict]:
     return jobs
 
 
+def _run_row(job: dict, metrics=()) -> dict:
+    """The job's runs.csv row: its run coordinates, and metric cells that stay empty unless given."""
+    return {column: job.get(column) for column in RUN_CSV_COLUMNS} | dict(zip(SUMMARY_METRICS, metrics))
+
+
 def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
     """Run one job's config; returns (summary row, cycle rows, error message or None)."""
-    # run coordinates come from the job; metric cells stay empty until set
-    row = {column: job.get(column) for column in RUN_CSV_COLUMNS}
     cycle_rows: list[dict] = []
     try:
         obj = make_objective(job["objective"], job["dimension"])
@@ -211,10 +214,9 @@ def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
                 )))
                 for record in result.cycle_records
             ]
-        row.update(zip(SUMMARY_METRICS, metrics))
     except Exception as exc:  # failed runs are recorded, the batch continues
-        return row, [], f"{type(exc).__name__}: {exc}"
-    return row, cycle_rows, None
+        return _run_row(job), [], f"{type(exc).__name__}: {exc}"
+    return _run_row(job, metrics), cycle_rows, None
 
 
 def _openblas_thread_controls() -> dict[str, tuple]:
@@ -268,8 +270,15 @@ def _run_jobs(jobs: list[dict], n_workers: int):
     found = _one_blas_thread()  # before the pool forks its workers
     try:
         if n_workers > 1:
+            outcomes = []
             with ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread) as pool:
-                return list(pool.map(_execute_job, jobs)), _openblas_threads()
+                futures = [pool.submit(_execute_job, job) for job in jobs]
+                for job, future in zip(jobs, futures):
+                    try:
+                        outcomes.append(future.result())
+                    except BrokenProcessPool as exc:  # a worker died: this run had not finished
+                        outcomes.append((_run_row(job), [], f"{type(exc).__name__}: {exc}"))
+            return outcomes, _openblas_threads()
         return [_execute_job(job) for job in jobs], _openblas_threads()
     finally:
         for set_threads, count in found:
@@ -358,7 +367,8 @@ def _metadata(extra: dict, blas_threads: int | str) -> dict:
             "mutation": "per-individual Gaussian, std = mutation_scale * domain width",
         },
         "ga_rng_layout": GA_RNG_LAYOUT,
-        "ga_budget_accounting": "lazy scoring; cached individuals (elites, clones) are never re-evaluated",
+        "ga_budget_accounting": "capped at the ga spec's pool_size + cycles * suggestions; lazy scoring; "
+                                "cached individuals (elites, clones) are never re-evaluated",
         "ga_baseline_inert_columns": "rate and pool_handling are empty for the ga system; "
                                      "cycles, suggestions and pool_size set its evaluation budget",
         "random_recommender": "evaluation rate forced to 0 and pool handling to reset",
@@ -397,10 +407,16 @@ def _run_batch(jobs: list[dict], n_workers: int, out_dir: Path, metadata: dict) 
     )
 
 
+def _run_specs(specs: list[ExperimentSpec], n_workers: int, out_dir: Path) -> ExperimentResult:
+    """Run the jobs of every spec, in order, as one batch; metadata.json lists each spec's settings."""
+    jobs = [job for spec in specs for job in _build_jobs(spec)]
+    settings = [{k: v for k, v in asdict(spec).items() if k not in ("out_dir", "jobs")} for spec in specs]
+    return _run_batch(jobs, n_workers, out_dir, {"specs": settings})
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the whole sweep grid x repetitions and persist the artifact set."""
-    settings = {k: v for k, v in asdict(spec).items() if k not in ("out_dir", "jobs")}
-    return _run_batch(_build_jobs(spec), spec.jobs, spec.out_dir, {"spec": settings})
+    return _run_specs([spec], spec.jobs, spec.out_dir)
 
 
 # Per-objective settings for the five-system comparison. Rates and pool
@@ -469,32 +485,14 @@ def run_compare(
         "random-rbf": {**rbf, "rate": 0, "pool_handling": "reset"},
         "ga": {"rate": 0, "suggestions": suggestions, "pool_handling": "reset"},
     }
-    # what the five specs share, and the comparison's metadata records
-    shared = dict(objective=objective, dimension=dimension, repetitions=repetitions,
-                  base_seed=base_seed, pool_size=pool_size)
-    jobs_list: list[dict] = []
-    for system in SYSTEMS:
+    shared = dict(objective=objective, dimension=dimension, cycles=(cycles,), pool_size=pool_size,
+                  repetitions=repetitions, base_seed=base_seed, out_dir=out_dir, ga=ga, jobs=jobs)
+    specs = []
+    for system in SYSTEMS:  # not system_settings' order, which puts ga last in runs.csv
         settings = system_settings[system]
-        jobs_list.extend(_build_jobs(ExperimentSpec(
-            system=system,
-            rates=(settings["rate"],),
-            suggestions=(settings["suggestions"],),
-            cycles=(cycles,),
-            pool_handling=(settings["pool_handling"],),
-            ga=ga,
-            jobs=jobs,
-            **shared,
-        )))
-
-    result = _run_batch(jobs_list, jobs, out_dir, {
-        "comparison": {
-            **shared,
-            "cycles": cycles,
-            "ga_budget": ga_budget,
-            "presets": {f"{obj}-{kind}": dict(v) for (obj, kind), v in COMPARE_PRESETS.items()},
-            "ga": asdict(ga),
-        },
-    })
+        specs.append(ExperimentSpec(system=system, rates=(settings["rate"],), suggestions=(settings["suggestions"],),
+                                    pool_handling=(settings["pool_handling"],), **shared))
+    result = _run_specs(specs, jobs, out_dir)
     rows_by_system = {system: [r for r in result.run_rows if r["system"] == system] for system in SYSTEMS}
     return ComparisonResult(rows_by_system=rows_by_system, ga_budget=ga_budget, result=result)
 

@@ -20,7 +20,6 @@ from .surrogate import (
     MODEL_KINDS,
     EvaluatedPool,
     MetaModel,
-    first_distinct,
     fit_or_fallback,
 )
 
@@ -154,19 +153,15 @@ def _admissible_rows(
 ) -> np.ndarray:
     """The first k admissible rows of candidates followed by uniform draws.
 
-    A row is admissible when it is more than EXCLUSION_EPSILON from every
-    pool item and from every earlier admissible row. The draws come in blocks
-    of as many rows as are missing, until k are admissible; this consumes the
-    same random stream as drawing one point at a time. The candidates and
-    each block are checked against the pool in one call.
+    A row is admissible when ``pool.admissible`` keeps it: more than
+    EXCLUSION_EPSILON from every pool item and every earlier admissible row.
+    The draws come in blocks of as many rows as are missing until k are
+    admissible, consuming the random stream as one-at-a-time draws would.
     """
-    clear = pool.min_distance(candidates) > EXCLUSION_EPSILON
-    keep = first_distinct(candidates, clear)
+    keep = pool.admissible(candidates)
     while np.count_nonzero(keep) < k:
-        draws = obj.sample_uniform(rng, k - np.count_nonzero(keep))
-        candidates = np.vstack((candidates, draws))
-        clear = np.concatenate((clear, pool.min_distance(draws) > EXCLUSION_EPSILON))
-        keep = first_distinct(candidates, clear)
+        candidates = np.vstack((candidates, obj.sample_uniform(rng, k - np.count_nonzero(keep))))
+        keep = pool.admissible(candidates)
     return candidates[keep][:k]
 
 

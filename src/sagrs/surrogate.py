@@ -81,7 +81,7 @@ class EvaluatedPool:
             raise ValueError(f"need one fitness per point: {len(points)} points, fitness shape {fitness.shape}")
         if np.isnan(fitness).any():  # also a None fitness, which becomes NaN
             raise ValueError("pool items must carry a true fitness")
-        keep = first_distinct(points, self.min_distance(points) > EXCLUSION_EPSILON)
+        keep = self.admissible(points)
         self._points = np.vstack((self._points, points[keep])) if len(self) else points[keep]
         self._fitness = np.concatenate((self._fitness, fitness[keep]))
         self._points.flags.writeable = self._fitness.flags.writeable = False
@@ -94,6 +94,10 @@ class EvaluatedPool:
     def fitnesses(self) -> np.ndarray:
         """The fitness of each pool point as a read-only (n,) array."""
         return self._fitness
+
+    def admissible(self, points) -> np.ndarray:
+        """Mask of the (m, d) rows more than EXCLUSION_EPSILON from the pool and from every earlier kept row."""
+        return first_distinct(points, self.min_distance(points) > EXCLUSION_EPSILON)
 
     def min_distance(self, points) -> np.ndarray:
         """Distance from each of (m, d) points to its nearest pool item (inf when empty)."""
@@ -112,7 +116,9 @@ class EvaluatedPool:
         return float(np.mean(self._fitness))
 
     def tail(self, n: int | None) -> "EvaluatedPool":
-        """The most recent n items as a pool view (None = everything)."""
+        """The most recent n >= 1 items as a pool view (None = everything)."""
+        if n is not None and n < 1:  # [-0:] is every item, and a negative n would drop the first -n
+            raise ValueError(f"tail needs n >= 1, got {n}")
         if n is None or n >= len(self):
             return self
         view = EvaluatedPool()  # unflagged: a window drops old points, so it tries the plain solve again

@@ -1,6 +1,10 @@
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import os
+import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -207,6 +211,27 @@ def test_failed_run_recorded_batch_continues(tmp_path, monkeypatch):
     assert rows == result.run_rows
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched run_sagrs reaches forked workers only")
+def test_killed_worker_keeps_finished_runs(tmp_path, monkeypatch):
+    serial = run_experiment(tiny_spec(tmp_path / "serial", repetitions=2, jobs=1))
+    original = harness.run_sagrs
+
+    def run_sagrs(obj, cfg, rng):  # a run at rate 2 kills its worker once the rate-1 runs are done
+        if cfg.evaluation_rate == 2:
+            time.sleep(1.0)
+            os._exit(9)
+        return original(obj, cfg, rng)
+
+    monkeypatch.setattr(harness, "run_sagrs", run_sagrs)
+    result = run_experiment(tiny_spec(tmp_path / "exp", rates=(1, 2), repetitions=2, jobs=2))
+    assert [row for row in result.run_rows if row["best_fitness"] is not None] == serial.run_rows
+    dead = [row["run_id"] for row in result.run_rows if row["rate"] == 2]
+    assert [run_id for run_id, _ in result.failures] == dead and len(dead) == 2
+    assert all(message.startswith("BrokenProcessPool: ") for _, message in result.failures)
+    assert read_runs_csv(tmp_path / "exp" / "runs.csv") == result.run_rows  # the artifacts were written
+
+
 def test_jobs_carry_their_config_and_row_cells(tmp_path):
     configs = {}
     shown = {"ga": (None, None), "random-lsm": (0, "reset"), "random-rbf": (0, "reset")}
@@ -359,8 +384,10 @@ def test_pool_never_starts_more_workers_than_runs(tmp_path, monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     result = run_experiment(tiny_spec(tmp_path / "exp", repetitions=3, jobs=500))
@@ -395,9 +422,25 @@ def test_metadata_records_exclusion_epsilon(tmp_path):
     run_experiment(tiny_spec(tmp_path / "exp", repetitions=1))
     run_compare("ackley", repetitions=1, cycles=2, pool_size=8, ga=GaConfig(population_size=10),
                 out_dir=tmp_path / "cmp")
-    for name in ("exp", "cmp"):
-        metadata = json.loads((tmp_path / name / "metadata.json").read_text())
-        assert metadata["exclusion_epsilon"] == EXCLUSION_EPSILON
+    metadata = {name: json.loads((tmp_path / name / "metadata.json").read_text()) for name in ("exp", "cmp")}
+    for entry in metadata.values():
+        assert entry["exclusion_epsilon"] == EXCLUSION_EPSILON
+        assert "spec" not in entry and "comparison" not in entry
+    # each spec's settings, without out_dir and jobs, which do not change the numbers
+    assert metadata["exp"]["specs"] == [{
+        "objective": "bohachevsky", "system": "sagrs-lsm", "dimension": 2, "rates": [1], "suggestions": [2],
+        "cycles": [3], "pool_handling": ["reset"], "pool_size": 8, "repetitions": 1, "base_seed": 0,
+        "ga": asdict(GaConfig(population_size=10)), "training_window": None,
+    }]
+    specs = metadata["cmp"]["specs"]
+    assert [spec["system"] for spec in specs] == list(SYSTEMS)
+    assert {(spec["objective"], spec["cycles"][0], spec["pool_size"], spec["repetitions"]) for spec in specs} == {
+        ("ackley", 2, 8, 1)}
+    ran_with = {spec["system"]: (spec["rates"], spec["suggestions"], spec["pool_handling"]) for spec in specs}
+    assert ran_with == {  # ackley's presets; the random recommenders run rate 0 with resets
+        "sagrs-lsm": ([16], [8], ["reset"]), "sagrs-rbf": ([1], [8], ["no_reset"]), "ga": ([0], [8], ["reset"]),
+        "random-lsm": ([0], [8], ["reset"]), "random-rbf": ([0], [8], ["reset"]),
+    }
 
 
 def test_env_var_sets_default_output_directory(tmp_path, monkeypatch):

@@ -111,6 +111,8 @@ def test_first_distinct_matches_single_inserts(monkeypatch, chunk_rows, kind, cl
         mask = {"none": None, "pool": pool.min_distance(batch) > surrogate_mod.EXCLUSION_EPSILON,
                 "random": rng.random(len(batch)) < 0.7}[clear]
         kept = surrogate_mod.first_distinct(batch, mask)
+        if clear == "pool":  # the pool's own exclusion rule, checked before the inserts below
+            assert pool.admissible(batch).tolist() == kept.tolist()
         # a row outside the mask is neither inserted nor held against later rows
         singles = [(mask is None or bool(m)) and bool(pool.add(row[None], [1.0])[0])
                    for row, m in zip(batch, np.ones(len(batch)) if mask is None else mask)]
@@ -161,6 +163,9 @@ def test_pool_tail_window():
     assert tail.points()[0, 0] == 3.0
     assert pool.tail(None) is pool
     assert pool.tail(99) is pool
+    for n in (0, -3):  # slicing [-n:] would return every point, or all but the first three
+        with pytest.raises(ValueError, match="n >= 1"):
+            pool.tail(n)
 
 
 def test_tail_view_and_parent_grow_apart():
