@@ -17,10 +17,16 @@ does not exit 0.
 the committed ``scripts/artifact_digest.sha256``, and exits 1 listing every
 line that differs. The reference was written with one OpenBLAS thread
 (``OPENBLAS_NUM_THREADS=1``), which ``metadata.json`` records. CI runs the
-commands twice without ``--check``: each of them must exit 0, and the lines
-of the two runs must match. The check itself is not part of CI: the RBF
-fit's bits still depend on the BLAS build and its thread count, so another
-machine can differ without any change to the code.
+commands without ``--check``, and each of them must exit 0. It runs them
+five times, and every run's lines must match the first's:
+- twice with one thread, so a rerun keeps the bytes;
+- once with the variable unset, because every batch pins one thread itself;
+- once each under ``OPENBLAS_CORETYPE=Haswell`` and ``=Prescott``, which
+  pick other OpenBLAS kernels for that process. The surrogate fits' bits
+  differ between kernels, and the artifacts must not.
+The check itself is not part of CI: the reference holds the bytes of one
+build of numpy, scipy and their OpenBLAS, on one CPU, and a different
+version, CPU vendor or architecture was never compared with it.
 """
 
 from __future__ import annotations
@@ -34,9 +40,13 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from sagrs.cli import cli_main  # noqa: E402
+from sagrs.harness import SYSTEMS  # noqa: E402
+
 ARTIFACTS = ("runs.csv", "cycles.csv", "summary.json", "metadata.json")
 OBJECTIVES = ("bohachevsky", "ackley", "schwefel")
-SYSTEMS = ("sagrs-lsm", "sagrs-rbf", "ga", "random-lsm", "random-rbf")
 
 # (output directory, cli arguments)
 COMMANDS = (
@@ -54,7 +64,7 @@ COMMANDS = (
 )
 
 
-def digest_lines(cli_main, root: Path) -> list[str]:
+def digest_lines(root: Path) -> list[str]:
     lines = []
     for name, argv in COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -81,11 +91,8 @@ def main(argv: list[str]) -> int:
                         help="compare with the lines in FILE; exit 1 if any differ")
     args = parser.parse_args(argv)
     reference = args.check.read_text().splitlines() if args.check is not None else None
-    sys.path.insert(0, str(SRC))
-    from sagrs.cli import cli_main
-
     with tempfile.TemporaryDirectory(prefix="sagrs-digest-") as tmp:
-        lines = digest_lines(cli_main, Path(tmp))
+        lines = digest_lines(Path(tmp))
     if reference is not None:
         diff = differing_lines(lines, reference)
         for line in diff:

@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import os
+from collections.abc import Callable
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -32,7 +33,43 @@ from .evolution import GA_RNG_LAYOUT, GaConfig, is_int
 from .objectives import make_objective
 from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
 
-SYSTEMS = ("sagrs-lsm", "sagrs-rbf", "ga", "random-lsm", "random-rbf")
+
+def _loop_outcome(result) -> tuple:
+    return (result.best_fitness, result.convergence_cycle, result.acceptance_rate,
+            result.true_evaluations_used), result.cycle_records
+
+
+def _ga_outcome(obj, cfg, rng) -> tuple:
+    result = run_ga_baseline(obj, cfg.budget, ga=cfg.ga, rng=rng)
+    return (result.best_fitness, None, None, result.true_evaluations_used), []
+
+
+@dataclass(frozen=True)
+class _System:
+    run: Callable  # (objective, checked SagrsConfig, rng) -> (SUMMARY_METRICS values, cycle records)
+    model_kind: str | None  # the surrogate it fits; None fits none
+    cells: dict  # row cells shown in place of the coordinates it does not use
+
+    def compare_settings(self, presets: dict) -> dict:
+        """Its rate, suggestions and pool_handling in run_compare, from an objective's presets by model kind."""
+        if self.model_kind is None:  # the largest recommender budget; the rate and pool handling are inert
+            return {"rate": 0, "suggestions": max(p["suggestions"] for p in presets.values()),
+                    "pool_handling": "reset"}
+        return presets[self.model_kind] | self.cells
+
+
+_RANDOM = {"rate": 0, "pool_handling": "reset"}  # the random recommender: no GA, a reset population
+
+# The runners are named inside lambdas, so a job resolves them in this module
+# when it runs: perfbench wraps them here, and tests patch them.
+_SYSTEMS = {
+    "sagrs-lsm": _System(lambda *args: _loop_outcome(run_sagrs(*args)), "lsm", {}),
+    "sagrs-rbf": _System(lambda *args: _loop_outcome(run_sagrs(*args)), "rbf", {}),
+    "ga": _System(_ga_outcome, None, {"rate": None, "pool_handling": None}),
+    "random-lsm": _System(lambda *args: _loop_outcome(run_random_recommender(*args)), "lsm", _RANDOM),
+    "random-rbf": _System(lambda *args: _loop_outcome(run_random_recommender(*args)), "rbf", _RANDOM),
+}
+SYSTEMS = tuple(_SYSTEMS)
 
 # A run's coordinates, in the order that names the run and derives its seed.
 GRID_KEY_COLUMNS = (
@@ -94,7 +131,7 @@ def derive_seed(base_seed: int, *parts) -> int:
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & (2**63 - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     objective: str
     system: str
@@ -112,11 +149,11 @@ class ExperimentSpec:
     jobs: int = field(default_factory=default_jobs)
 
     def __post_init__(self):
-        self.rates = tuple(self.rates)
-        self.suggestions = tuple(self.suggestions)
-        self.cycles = tuple(self.cycles)
-        self.pool_handling = tuple(self.pool_handling)
-        self.out_dir = Path(self.out_dir)
+        for axis_name in ("rates", "suggestions", "cycles", "pool_handling"):
+            object.__setattr__(self, axis_name, tuple(getattr(self, axis_name)))
+            if not getattr(self, axis_name):
+                raise ValueError(f"sweep axis {axis_name} must be nonempty")
+        object.__setattr__(self, "out_dir", Path(self.out_dir))
         # A config file bypasses argparse's types and choices, so check them here.
         for name in ("dimension", "pool_size", "repetitions", "base_seed", "jobs"):
             if not is_int(getattr(self, name)):
@@ -125,16 +162,14 @@ class ExperimentSpec:
             raise ValueError(f"ga must be a GaConfig, got {self.ga!r}; set it through the ga_* config keys")
         if self.system not in SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}; choose from {SYSTEMS}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        for axis_name in ("rates", "suggestions", "cycles", "pool_handling"):
-            if not getattr(self, axis_name):
-                raise ValueError(f"sweep axis {axis_name} must be nonempty")
-        _build_jobs(self)  # checks each grid point's SagrsConfig, which owns the loop settings
+        for name in ("repetitions", "pool_size", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # checks each grid point's SagrsConfig; the spec is frozen, so its jobs cannot go stale,
+        # and they are not a field, so asdict and metadata.json leave them out
+        object.__setattr__(self, "_jobs", _build_jobs(self))
+        if _SYSTEMS[self.system].model_kind is None and self.training_window is not None:
+            raise ValueError(f"{self.system} fits no surrogate, so training_window must be unset")
 
 
 @dataclass
@@ -150,25 +185,21 @@ class ExperimentResult:
         return not self.failures
 
 
-# The row cells of the coordinates a system does not use; random-* runs rate 0 with resets.
-_SHOWN_CELLS = {"ga": {"rate": None, "pool_handling": None},
-                **dict.fromkeys(("random-lsm", "random-rbf"), {"rate": 0, "pool_handling": "reset"})}
-
-
 def _build_jobs(spec: ExperimentSpec) -> list[dict]:
     """One job per run with its grid point's checked SagrsConfig; ValueError names a point no run can use."""
     # Called through the module: the harness's own make_objective is the
     # name runs resolve, and perfbench swaps it for one that logs a run.
     obj = objectives.make_objective(spec.objective, spec.dimension)
-    kind = "lsm" if spec.system == "ga" else spec.system.rsplit("-", 1)[1]  # the GA fits no surrogate
+    system = _SYSTEMS[spec.system]
     jobs = []
     grid = itertools.product(spec.rates, spec.suggestions, spec.cycles, spec.pool_handling)
     for rate, sugg, cyc, handling in grid:
         try:
-            cfg = SagrsConfig(model_kind=kind, evaluation_rate=rate, suggestions_per_cycle=sugg, cycles=cyc,
-                              pool_handling=handling, initial_pool_size=spec.pool_size, ga=spec.ga,
-                              training_window=spec.training_window)
-            if spec.system == "ga":  # run_ga_baseline's own shaping checks the budget and the elitism
+            # a system without a surrogate takes the config's budget and GA only
+            cfg = SagrsConfig(model_kind=system.model_kind or "lsm", evaluation_rate=rate,
+                              suggestions_per_cycle=sugg, cycles=cyc, pool_handling=handling,
+                              initial_pool_size=spec.pool_size, ga=spec.ga, training_window=spec.training_window)
+            if system.model_kind is None:  # run_ga_baseline's own shaping checks the budget and the elitism
                 shape_ga(cfg.budget, cfg.ga)
             else:
                 cfg.validate_for(obj)
@@ -180,7 +211,7 @@ def _build_jobs(spec: ExperimentSpec) -> list[dict]:
             jobs.append({
                 "run_id": "{}_{}_d{}_r{}_s{}_c{}_{}_p{}_rep{:02d}".format(*point, rep),
                 **dict(zip(GRID_KEY_COLUMNS, point)),
-                **_SHOWN_CELLS.get(spec.system, {}),
+                **system.cells,
                 "seed": derive_seed(spec.base_seed, *point, rep),
                 "config": cfg,
             })
@@ -194,26 +225,13 @@ def _run_row(job: dict, metrics=()) -> dict:
 
 def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
     """Run one job's config; returns (summary row, cycle rows, error message or None)."""
-    cycle_rows: list[dict] = []
     try:
         obj = make_objective(job["objective"], job["dimension"])
-        rng = np.random.default_rng(job["seed"])
-        cfg = job["config"]  # checked when the job was built
-        if job["system"] == "ga":
-            result = run_ga_baseline(obj, cfg.budget, ga=cfg.ga, rng=rng)
-            metrics = (result.best_fitness, None, None, result.true_evaluations_used)
-        else:
-            run = run_random_recommender if job["system"].startswith("random-") else run_sagrs
-            result = run(obj, cfg, rng)
-            metrics = (result.best_fitness, result.convergence_cycle, result.acceptance_rate,
-                       result.true_evaluations_used)
-            cycle_rows = [
-                dict(zip(CYCLE_CSV_COLUMNS, (
-                    job["run_id"], record.cycle_index, record.best_true_fitness_so_far,
-                    record.accepted_count, len(record.suggested), record.surrogate_fit_ok,
-                )))
-                for record in result.cycle_records
-            ]
+        # the config was checked when the job was built
+        metrics, records = _SYSTEMS[job["system"]].run(obj, job["config"], np.random.default_rng(job["seed"]))
+        cycle_rows = [dict(zip(CYCLE_CSV_COLUMNS, (job["run_id"], r.cycle_index, r.best_true_fitness_so_far,
+                                                   r.accepted_count, len(r.suggested), r.surrogate_fit_ok)))
+                      for r in records]
     except Exception as exc:  # failed runs are recorded, the batch continues
         return _run_row(job), [], f"{type(exc).__name__}: {exc}"
     return _run_row(job, metrics), cycle_rows, None
@@ -334,10 +352,11 @@ def _blas(library) -> str:
     return f"{info.get('name')} {info.get('version')}"
 
 
-def _metadata(extra: dict, blas_threads: int | str) -> dict:
+def _metadata(specs: list[dict], blas_threads: int | str) -> dict:
     """Everything the numbers depend on that is not in the row schema.
 
-    blas_threads is the OpenBLAS thread count the runs used.
+    specs holds the settings of each spec that ran, and blas_threads the
+    OpenBLAS thread count the runs used.
     """
     return {
         "package_version": __version__,
@@ -374,15 +393,16 @@ def _metadata(extra: dict, blas_threads: int | str) -> dict:
         "random_recommender": "evaluation rate forced to 0 and pool handling to reset",
         "objective_domains": {name: [lo, hi] for name, (_, lo, hi, _) in objectives._REGISTRY.items()},
         "exclusion_epsilon": EXCLUSION_EPSILON,
-        **extra,
+        "specs": specs,
     }
 
 
-def _run_batch(jobs: list[dict], n_workers: int, out_dir: Path, metadata: dict) -> ExperimentResult:
-    """Run the jobs and persist the artifact set; metadata extends _metadata().
+def _run_specs(specs: list[ExperimentSpec], n_workers: int, out_dir: Path) -> ExperimentResult:
+    """Run the jobs of every spec, in order, as one batch, and persist the artifact set.
 
-    A failed run keeps its row, with empty metric cells, and is listed in
-    the result's failures; the batch goes on.
+    metadata.json lists each spec's settings. A failed run keeps its row,
+    with empty metric cells, and is listed in the result's failures; the
+    batch goes on.
     """
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,13 +410,14 @@ def _run_batch(jobs: list[dict], n_workers: int, out_dir: Path, metadata: dict) 
         raise ValueError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
     if not os.access(out_dir, os.W_OK):
         raise ValueError(f"output directory {out_dir} is not writable")
-    outcomes, blas_threads = _run_jobs(jobs, n_workers)
+    outcomes, blas_threads = _run_jobs([job for spec in specs for job in spec._jobs], n_workers)
+    settings = [{k: v for k, v in asdict(spec).items() if k not in ("out_dir", "jobs")} for spec in specs]
     run_rows = [row for row, _, _ in outcomes]
     cycle_rows = [cr for _, rows, _ in outcomes for cr in rows]
     summaries = aggregate_rows(run_rows)
     _write_csv(out_dir / "runs.csv", RUN_CSV_COLUMNS, run_rows)
     _write_csv(out_dir / "cycles.csv", CYCLE_CSV_COLUMNS, cycle_rows)
-    for name, payload in (("summary.json", summaries), ("metadata.json", _metadata(metadata, blas_threads))):
+    for name, payload in (("summary.json", summaries), ("metadata.json", _metadata(settings, blas_threads))):
         with open(out_dir / name, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -405,13 +426,6 @@ def _run_batch(jobs: list[dict], n_workers: int, out_dir: Path, metadata: dict) 
         failures=[(row["run_id"], err) for row, _, err in outcomes if err is not None],
         out_dir=out_dir,
     )
-
-
-def _run_specs(specs: list[ExperimentSpec], n_workers: int, out_dir: Path) -> ExperimentResult:
-    """Run the jobs of every spec, in order, as one batch; metadata.json lists each spec's settings."""
-    jobs = [job for spec in specs for job in _build_jobs(spec)]
-    settings = [{k: v for k, v in asdict(spec).items() if k not in ("out_dir", "jobs")} for spec in specs]
-    return _run_batch(jobs, n_workers, out_dir, {"specs": settings})
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -473,25 +487,15 @@ def run_compare(
     ga = ga if ga is not None else GaConfig()
     jobs = jobs if jobs is not None else default_jobs()
     out_dir = Path(out_dir) if out_dir is not None else default_out_dir() / f"compare_{objective}"
-    lsm = COMPARE_PRESETS[(objective, "lsm")]
-    rbf = COMPARE_PRESETS[(objective, "rbf")]
-    suggestions = max(lsm["suggestions"], rbf["suggestions"])
-    ga_budget = pool_size + cycles * suggestions
-
-    system_settings = {
-        "sagrs-lsm": lsm,
-        "sagrs-rbf": rbf,
-        "random-lsm": {**lsm, "rate": 0, "pool_handling": "reset"},
-        "random-rbf": {**rbf, "rate": 0, "pool_handling": "reset"},
-        "ga": {"rate": 0, "suggestions": suggestions, "pool_handling": "reset"},
-    }
+    presets = {kind: preset for (name, kind), preset in COMPARE_PRESETS.items() if name == objective}
     shared = dict(objective=objective, dimension=dimension, cycles=(cycles,), pool_size=pool_size,
                   repetitions=repetitions, base_seed=base_seed, out_dir=out_dir, ga=ga, jobs=jobs)
     specs = []
-    for system in SYSTEMS:  # not system_settings' order, which puts ga last in runs.csv
-        settings = system_settings[system]
+    for system, row in _SYSTEMS.items():
+        settings = row.compare_settings(presets)
         specs.append(ExperimentSpec(system=system, rates=(settings["rate"],), suggestions=(settings["suggestions"],),
                                     pool_handling=(settings["pool_handling"],), **shared))
+    ga_budget = specs[SYSTEMS.index("ga")]._jobs[0]["config"].budget  # its pool_size + cycles * suggestions
     result = _run_specs(specs, jobs, out_dir)
     rows_by_system = {system: [r for r in result.run_rows if r["system"] == system] for system in SYSTEMS}
     return ComparisonResult(rows_by_system=rows_by_system, ga_budget=ga_budget, result=result)

@@ -98,20 +98,14 @@ def convergence_cycle(records: list[CycleRecord]) -> int:
     """1-based index of the last cycle that accepted a suggestion, 0 if none."""
     if not records:
         raise ValueError("need at least one cycle record")
-    last = 0
-    for record in records:
-        if record.accepted_count >= 1:
-            last = record.cycle_index
-    return last
+    return next((record.cycle_index for record in reversed(records) if record.accepted_count >= 1), 0)
 
 
 def acceptance_rate(records: list[CycleRecord]) -> float:
     """Accepted suggestions as a fraction of everything suggested."""
     if not records:
         raise ValueError("need at least one cycle record")
-    suggested = sum(len(r.suggested) for r in records)
-    accepted = sum(r.accepted_count for r in records)
-    return accepted / suggested
+    return sum(r.accepted_count for r in records) / sum(len(r.suggested) for r in records)
 
 
 def select_suggestions(

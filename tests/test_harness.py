@@ -4,7 +4,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
@@ -245,6 +245,26 @@ def test_jobs_carry_their_config_and_row_cells(tmp_path):
     assert configs["sagrs-rbf"] == SagrsConfig(model_kind="rbf", evaluation_rate=3, suggestions_per_cycle=2,
                                                cycles=3, initial_pool_size=8, ga=GaConfig(population_size=10))
     assert configs["ga"].budget == 8 + 3 * 2
+
+
+def test_each_spec_builds_its_jobs_once(tmp_path, monkeypatch):
+    built = []
+    original = harness._build_jobs
+
+    def build_jobs(spec):
+        built.append(spec.system)
+        return original(spec)
+
+    monkeypatch.setattr(harness, "_build_jobs", build_jobs)
+    run_compare("ackley", repetitions=1, cycles=2, pool_size=8, ga=GaConfig(population_size=10),
+                out_dir=tmp_path / "cmp", jobs=1)
+    assert built == list(SYSTEMS)  # one build per spec, when the spec is made
+    built.clear()
+    spec = tiny_spec(tmp_path / "exp", repetitions=1, jobs=1)
+    run_experiment(spec)
+    assert built == ["sagrs-lsm"]
+    with pytest.raises(FrozenInstanceError):  # so the jobs built from a spec stay its jobs
+        spec.rates = (2,)
 
 
 @pytest.mark.parametrize("system, cells", [("ga", (None, None)), ("random-lsm", (0, "reset"))])
