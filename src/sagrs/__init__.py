@@ -9,7 +9,6 @@ Benchmark objectives simulate the evaluating user.
 __version__ = "0.1.0"
 
 from .baselines import (
-    BaselineResult,
     BudgetedObjective,
     BudgetExhaustedError,
     ga_baseline_shape,
@@ -51,7 +50,6 @@ from .surrogate import (
 )
 
 __all__ = [
-    "BaselineResult",
     "BudgetExhaustedError",
     "BudgetedObjective",
     "ComparisonResult",

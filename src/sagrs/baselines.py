@@ -6,12 +6,16 @@ floor(sqrt(budget)); it never re-evaluates elites and clones, so it spends
 less (``true_evals`` in runs.csv). The random recommender is the
 recommendation loop with the optimization switched off (evaluation rate 0,
 population reset every cycle), i.e. a plain content-based recommender.
+
+Both return the loop's ``RunResult``. The GA has no recommendation cycles,
+so its ``cycle_records`` is empty and its convergence cycle and acceptance
+rate are None.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,16 +42,13 @@ class BudgetedObjective:
         self.budget = budget
         self.used = 0
         self.best_fitness = math.inf
-        self.best_point: np.ndarray | None = None
 
     def evaluate(self, point) -> float:
         if self.used >= self.budget:
             raise BudgetExhaustedError(f"evaluation budget of {self.budget} exhausted")
         value = self.inner.evaluate(point)
         self.used += 1
-        if value < self.best_fitness:
-            self.best_fitness = value
-            self.best_point = np.asarray(point, dtype=float).copy()
+        self.best_fitness = min(self.best_fitness, value)
         return value
 
     def evaluate_batch(self, points) -> np.ndarray:
@@ -57,16 +58,6 @@ class BudgetedObjective:
         batch at the first row past it.
         """
         return np.array([self.evaluate(p) for p in points], dtype=float)
-
-
-@dataclass(eq=False)
-class BaselineResult:
-    best_fitness: float
-    best_point: np.ndarray | None
-    true_evaluations_used: int
-    generations_run: int
-    population_size: int
-    generations_planned: int
 
 
 def ga_baseline_shape(n_eval: int) -> tuple[int, int]:
@@ -87,8 +78,9 @@ def run_ga_baseline(
     obj: Objective,
     n_eval: int,
     ga: GaConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> BaselineResult:
+    *,
+    rng: np.random.Generator,
+) -> RunResult:
     """Plain GA on the true objective under an n_eval evaluation budget.
 
     Lazy scoring means cached individuals (elites, clones) cost nothing, so
@@ -96,26 +88,17 @@ def run_ga_baseline(
     runs out mid-generation the run stops there and reports what it saw.
     """
     cfg, n_gen = shape_ga(n_eval, ga)
-    rng = rng if rng is not None else np.random.default_rng()
     budgeted = BudgetedObjective(obj, n_eval)
     population = init_population(obj, cfg, rng)
-    generations = 0
     try:
         for _ in range(n_gen):
             population = step_generation(population, budgeted.evaluate_batch, cfg, obj, rng)
-            generations += 1
         # the last generation's offspring still need scoring to count
         score_population(population, budgeted.evaluate_batch)
     except BudgetExhaustedError:
         pass
-    return BaselineResult(
-        best_fitness=budgeted.best_fitness,
-        best_point=budgeted.best_point,
-        true_evaluations_used=budgeted.used,
-        generations_run=generations,
-        population_size=cfg.population_size,
-        generations_planned=n_gen,
-    )
+    return RunResult(cycle_records=[], best_fitness=budgeted.best_fitness, convergence_cycle=None,
+                     acceptance_rate=None, true_evaluations_used=budgeted.used)
 
 
 def run_random_recommender(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> RunResult:

@@ -34,19 +34,9 @@ from .objectives import make_objective
 from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
 
 
-def _loop_outcome(result) -> tuple:
-    return (result.best_fitness, result.convergence_cycle, result.acceptance_rate,
-            result.true_evaluations_used), result.cycle_records
-
-
-def _ga_outcome(obj, cfg, rng) -> tuple:
-    result = run_ga_baseline(obj, cfg.budget, ga=cfg.ga, rng=rng)
-    return (result.best_fitness, None, None, result.true_evaluations_used), []
-
-
 @dataclass(frozen=True)
 class _System:
-    run: Callable  # (objective, checked SagrsConfig, rng) -> (SUMMARY_METRICS values, cycle records)
+    run: Callable  # (objective, checked SagrsConfig, rng) -> RunResult
     model_kind: str | None  # the surrogate it fits; None fits none
     cells: dict  # row cells shown in place of the coordinates it does not use
 
@@ -63,11 +53,12 @@ _RANDOM = {"rate": 0, "pool_handling": "reset"}  # the random recommender: no GA
 # The runners are named inside lambdas, so a job resolves them in this module
 # when it runs: perfbench wraps them here, and tests patch them.
 _SYSTEMS = {
-    "sagrs-lsm": _System(lambda *args: _loop_outcome(run_sagrs(*args)), "lsm", {}),
-    "sagrs-rbf": _System(lambda *args: _loop_outcome(run_sagrs(*args)), "rbf", {}),
-    "ga": _System(_ga_outcome, None, {"rate": None, "pool_handling": None}),
-    "random-lsm": _System(lambda *args: _loop_outcome(run_random_recommender(*args)), "lsm", _RANDOM),
-    "random-rbf": _System(lambda *args: _loop_outcome(run_random_recommender(*args)), "rbf", _RANDOM),
+    "sagrs-lsm": _System(lambda *args: run_sagrs(*args), "lsm", {}),
+    "sagrs-rbf": _System(lambda *args: run_sagrs(*args), "rbf", {}),
+    "ga": _System(lambda obj, cfg, rng: run_ga_baseline(obj, cfg.budget, cfg.ga, rng=rng), None,
+                  {"rate": None, "pool_handling": None}),
+    "random-lsm": _System(lambda *args: run_random_recommender(*args), "lsm", _RANDOM),
+    "random-rbf": _System(lambda *args: run_random_recommender(*args), "rbf", _RANDOM),
 }
 SYSTEMS = tuple(_SYSTEMS)
 
@@ -228,10 +219,12 @@ def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
     try:
         obj = make_objective(job["objective"], job["dimension"])
         # the config was checked when the job was built
-        metrics, records = _SYSTEMS[job["system"]].run(obj, job["config"], np.random.default_rng(job["seed"]))
+        result = _SYSTEMS[job["system"]].run(obj, job["config"], np.random.default_rng(job["seed"]))
+        metrics = (result.best_fitness, result.convergence_cycle, result.acceptance_rate,
+                   result.true_evaluations_used)
         cycle_rows = [dict(zip(CYCLE_CSV_COLUMNS, (job["run_id"], r.cycle_index, r.best_true_fitness_so_far,
                                                    r.accepted_count, len(r.suggested), r.surrogate_fit_ok)))
-                      for r in records]
+                      for r in result.cycle_records]
     except Exception as exc:  # failed runs are recorded, the batch continues
         return _run_row(job), [], f"{type(exc).__name__}: {exc}"
     return _run_row(job, metrics), cycle_rows, None

@@ -84,8 +84,9 @@ class CycleRecord:
 class RunResult:
     cycle_records: list[CycleRecord]
     best_fitness: float
-    convergence_cycle: int
-    acceptance_rate: float
+    # None where a run has no recommendation cycles to measure them on: the plain GA baseline
+    convergence_cycle: int | None
+    acceptance_rate: float | None
     true_evaluations_used: int
 
 

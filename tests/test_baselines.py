@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sagrs.baselines
 from sagrs.baselines import (
     BudgetedObjective,
     BudgetExhaustedError,
@@ -8,10 +9,16 @@ from sagrs.baselines import (
     run_ga_baseline,
     run_random_recommender,
 )
-from sagrs.evolution import GaConfig
+from sagrs.evolution import GaConfig, init_population
 from sagrs.objectives import Objective, make_objective
-from sagrs.recommender import SagrsConfig, run_sagrs
+from sagrs.recommender import RunResult, SagrsConfig, run_sagrs
 from sagrs.surrogate import EXCLUSION_EPSILON
+
+
+def recording(base, log):
+    """base with every point it evaluates appended to log."""
+    return Objective(name=base.name, dimension=base.dimension, lower=base.lower, upper=base.upper,
+                     fn=lambda x: (log.append(np.array(x)), base.fn(x))[1])
 
 
 def sphere_objective():
@@ -62,7 +69,6 @@ def test_budgeted_objective_counts_and_caps():
         budgeted.evaluate([9.0, 9.0])
     assert budgeted.used == 3
     assert budgeted.best_fitness == make_objective("bohachevsky").evaluate([0.0, 0.0])
-    assert np.array_equal(budgeted.best_point, [0.0, 0.0])
 
 
 def test_ga_baseline_beats_random_sampling_on_sphere():
@@ -81,19 +87,27 @@ def test_ga_baseline_beats_random_sampling_on_sphere():
 
 def test_ga_baseline_same_seed_same_trajectory():
     obj = make_objective("ackley")
-    a = run_ga_baseline(obj, 400, rng=np.random.default_rng(6))
-    b = run_ga_baseline(obj, 400, rng=np.random.default_rng(6))
+    log_a, log_b = [], []
+    a = run_ga_baseline(recording(obj, log_a), 400, rng=np.random.default_rng(6))
+    b = run_ga_baseline(recording(obj, log_b), 400, rng=np.random.default_rng(6))
     assert a.best_fitness == b.best_fitness
-    assert a.true_evaluations_used == b.true_evaluations_used
-    assert np.array_equal(a.best_point, b.best_point)
+    assert a.true_evaluations_used == b.true_evaluations_used == len(log_a)
+    assert np.array(log_a).tobytes() == np.array(log_b).tobytes()
 
 
-def test_ga_baseline_respects_budget():
+def test_ga_baseline_respects_budget(monkeypatch):
+    shaped = []
+
+    def init_recording(obj, cfg, rng):
+        shaped.append(cfg)
+        return init_population(obj, cfg, rng)
+
+    monkeypatch.setattr(sagrs.baselines, "init_population", init_recording)
     obj = make_objective("schwefel")
     for n_eval in (4, 36, 100, 961):
         result = run_ga_baseline(obj, n_eval, rng=np.random.default_rng(n_eval))
         assert result.true_evaluations_used <= n_eval
-        assert result.population_size ** 2 <= n_eval
+        assert shaped.pop().population_size ** 2 <= n_eval
 
 
 def test_ga_baseline_stops_on_exhaustion_mid_generation():
@@ -101,9 +115,17 @@ def test_ga_baseline_stops_on_exhaustion_mid_generation():
     obj = make_objective("bohachevsky")
     ga = GaConfig(mutation_prob=1.0, elitism=0)
     result = run_ga_baseline(obj, 9, ga=ga, rng=np.random.default_rng(0))
-    assert result.true_evaluations_used <= 9
-    assert result.generations_run <= result.generations_planned
+    assert result.true_evaluations_used == 9
     assert np.isfinite(result.best_fitness)
+
+
+def test_ga_baseline_returns_a_cycleless_run_result():
+    result = run_ga_baseline(make_objective("ackley"), 36, rng=np.random.default_rng(1))
+    assert isinstance(result, RunResult)
+    assert result.cycle_records == []
+    assert result.convergence_cycle is None and result.acceptance_rate is None
+    with pytest.raises(TypeError):  # an unseeded run could not be reproduced
+        run_ga_baseline(make_objective("ackley"), 36)
 
 
 def test_random_recommender_equals_rate_zero_reset():
@@ -122,9 +144,7 @@ def test_random_recommender_equals_rate_zero_reset():
 
 def test_random_recommender_respects_exclusion():
     log = []
-    base = make_objective("ackley")
-    spy = Objective(name=base.name, dimension=2, lower=base.lower, upper=base.upper,
-                    fn=lambda x: (log.append(np.array(x)), base.fn(x))[1])
+    spy = recording(make_objective("ackley"), log)
     cfg = SagrsConfig(model_kind="rbf", suggestions_per_cycle=3, cycles=8,
                       initial_pool_size=8, ga=GaConfig(population_size=10))
     run_random_recommender(spy, cfg, np.random.default_rng(3))
