@@ -16,14 +16,18 @@ does not exit 0.
 ``--check FILE`` compares the lines with a reference file instead, such as
 the committed ``scripts/artifact_digest.sha256``, and exits 1 listing every
 line that differs. The reference was written with one OpenBLAS thread
-(``OPENBLAS_NUM_THREADS=1``), which ``metadata.json`` records. CI runs the
-commands without ``--check``, and each of them must exit 0. It runs them
-five times, and every run's lines must match the first's:
-- twice with one thread, so a rerun keeps the bytes;
-- once with the variable unset, because every batch pins one thread itself;
+(``OPENBLAS_NUM_THREADS=1``), which ``metadata.json`` records with the
+OpenBLAS kernel. CI runs the commands without ``--check``, and each of them
+must exit 0. It runs them five times, and compares each run's lines with
+the first's:
+- twice with one thread, so a rerun keeps the bytes: all 60 lines;
+- once with the variable unset, because every batch pins one thread
+  itself: all 60 lines;
 - once each under ``OPENBLAS_CORETYPE=Haswell`` and ``=Prescott``, which
   pick other OpenBLAS kernels for that process. The surrogate fits' bits
-  differ between kernels, and the artifacts must not.
+  differ between kernels, and the 45 ``runs.csv``, ``cycles.csv`` and
+  ``summary.json`` lines must not; the ``metadata.json`` lines are left
+  out, because they name the kernel.
 The check itself is not part of CI: the reference holds the bytes of one
 build of numpy, scipy and their OpenBLAS, on one CPU, and a different
 version, CPU vendor or architecture was never compared with it.

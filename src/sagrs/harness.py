@@ -32,6 +32,7 @@ from .baselines import run_ga_baseline, run_random_recommender, shape_ga
 from .evolution import GA_RNG_LAYOUT, GaConfig, is_int
 from .objectives import make_objective
 from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
+from .surrogate import RBF_RIDGE_FACTOR
 
 
 @dataclass(frozen=True)
@@ -230,25 +231,37 @@ def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
     return _run_row(job, metrics), cycle_rows, None
 
 
-def _openblas_thread_controls() -> dict[str, tuple]:
-    """(get, set) thread-count functions of the OpenBLAS bundled with scipy and numpy.
+# The OpenBLAS bundled with each library, found through an extension module whose
+# dependencies include it, and its symbol suffix: numpy's 64-bit-integer build adds 64_.
+_OPENBLAS = {"scipy": (scipy.linalg._flapack, ""), "numpy": (np.linalg._umath_linalg, "64_")}
 
-    Each is looked up through an extension module whose dependencies
-    include that OpenBLAS; numpy's 64-bit-integer build suffixes its symbols
-    with ``64_``. A library without the symbols is left out.
-    """
-    controls = {}
-    for name, module, suffix in (("scipy", scipy.linalg._flapack, ""), ("numpy", np.linalg._umath_linalg, "64_")):
-        try:
-            lib = ctypes.CDLL(module.__file__)
-            get_threads = lib[f"scipy_openblas_get_num_threads{suffix}"]
-            set_threads = lib[f"scipy_openblas_set_num_threads{suffix}"]
-        except (AttributeError, OSError):
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        controls[name] = (get_threads, set_threads)
-    return controls
+
+def _openblas_function(library: str, name: str, restype, argtypes=()):
+    """``scipy_openblas_<name>`` of the OpenBLAS bundled with library ("scipy" or "numpy"); None where missing."""
+    module, suffix = _OPENBLAS[library]
+    try:
+        function = ctypes.CDLL(module.__file__)[f"scipy_openblas_{name}{suffix}"]
+    except (AttributeError, OSError):
+        return None
+    function.argtypes, function.restype = list(argtypes), restype
+    return function
+
+
+def _openblas_thread_controls() -> dict[str, tuple]:
+    """(get, set) thread-count functions of the OpenBLAS bundled with scipy and numpy; one without them is left out."""
+    controls = {library: (_openblas_function(library, "get_num_threads", ctypes.c_int),
+                          _openblas_function(library, "set_num_threads", None, [ctypes.c_int]))
+                for library in _OPENBLAS}
+    return {library: pair for library, pair in controls.items() if None not in pair}
+
+
+def _openblas_cores() -> dict[str, str]:
+    """The kernel each bundled OpenBLAS picked for this CPU or OPENBLAS_CORETYPE; "unknown" where it cannot say."""
+    cores = {}
+    for library in _OPENBLAS:
+        corename = _openblas_function(library, "get_corename", ctypes.c_char_p)
+        cores[library] = "unknown" if corename is None else corename().decode()
+    return cores
 
 
 def _openblas_threads() -> int | str:
@@ -354,11 +367,12 @@ def _metadata(specs: list[dict], blas_threads: int | str) -> dict:
     return {
         "package_version": __version__,
         # factorization and matrix-product bits depend on the LAPACK/BLAS
-        # build and its thread count
+        # build, the kernel it picked and its thread count
         "versions": {
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "blas": {"numpy": _blas(np), "scipy": _blas(scipy)},
+            "openblas_core": _openblas_cores(),
             "scipy_openblas_threads": blas_threads,
         },
         "quartile_method": "linear interpolation between closest ranks",
@@ -366,6 +380,7 @@ def _metadata(specs: list[dict], blas_threads: int | str) -> dict:
         "csv_float_format": "%.17g",
         "rbf_sigma_method": "mean pairwise Euclidean distance over the training pool",
         "rbf_activation": "1 - exp(-r^2 / (2 sigma^2))",
+        "rbf_ridge_factor": RBF_RIDGE_FACTOR,
         "lsm_form": "second-order polynomial without cross terms, normal-equation solve",
         "linear_solves": {
             "lsm_normal_equations": "LU with partial pivoting (LAPACK dgetrf/dgetrs)",

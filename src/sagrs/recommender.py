@@ -62,12 +62,13 @@ class SagrsConfig:
         return self.initial_pool_size + self.cycles * self.suggestions_per_cycle
 
     def validate_for(self, obj: Objective) -> None:
+        """Check that the initial pool and any training window hold enough items for both surrogates to fit."""
         floor = max(2 * obj.dimension + 1, 2)
-        if self.initial_pool_size < floor:
-            raise ValueError(
-                f"initial_pool_size must be >= {floor} at dimension {obj.dimension} "
-                "so both surrogates can fit"
-            )
+        for name in ("initial_pool_size", "training_window"):  # an unset window is the whole pool
+            value = getattr(self, name)
+            if value is not None and value < floor:
+                raise ValueError(f"{name} must be >= {floor} at dimension {obj.dimension} "
+                                 f"so both surrogates can fit, got {value}")
 
 
 @dataclass(eq=False)
@@ -137,7 +138,7 @@ def draw_initial_pool(obj: Objective, size: int, rng: np.random.Generator) -> Ev
     A draw within EXCLUSION_EPSILON of an earlier kept one is replaced by a
     fresh draw, instead of double-evaluating the same spot.
     """
-    pool = EvaluatedPool()
+    pool = EvaluatedPool(obj.dimension)
     points = _admissible_rows(np.empty((0, obj.dimension)), pool, size, obj, rng)
     pool.add(points, [obj.evaluate(p) for p in points])
     return pool

@@ -14,8 +14,8 @@ Both expose ``predict(points) -> scores``, which maps an (m, d) array to
 (m,) predicted fitness; ``fit(kind, pool)`` dispatches by name.
 ``MeanModel`` is the degenerate fallback used when a fit fails.
 
-``EvaluatedPool`` holds the evaluated points and their fitness as two
-read-only arrays; it is also the exclusion set (see ``EXCLUSION_EPSILON``).
+``EvaluatedPool(dimension)`` holds the evaluated points and their fitness as
+two read-only arrays; it is also the exclusion set (see ``EXCLUSION_EPSILON``).
 Every distance is scipy's Euclidean one, ``pdist`` in the RBF fit and
 ``cdist`` elsewhere: an entry has the same bits in any batch and in the fit.
 """
@@ -49,19 +49,20 @@ class SurrogateFitError(RuntimeError):
 
 
 class EvaluatedPool:
-    """Ordered true-evaluated points and their fitness; also the exclusion set.
+    """Ordered true-evaluated points of one dimension and their fitness; also the exclusion set.
 
-    Both are read-only arrays that each insert replaces, so a ``tail`` view
-    never sees later inserts. Insertion silently drops a point within
-    ``EXCLUSION_EPSILON`` of the pool or of an earlier point of the same
-    batch, keeping the interpolation matrix invertible and the pool a set.
+    The points start as a (0, dimension) array, and every insert must have
+    that width. Both are read-only arrays that each insert replaces, so a
+    ``tail`` view never sees later inserts. Insertion silently drops a point
+    within ``EXCLUSION_EPSILON`` of the pool or of an earlier point of the
+    same batch, keeping the interpolation matrix invertible and the pool a set.
 
     ``needs_ridge`` turns true once an RBF fit of this pool found the plain
     activation system singular; later fits go straight to the ridged solve.
     """
 
-    def __init__(self):
-        self._points = np.empty((0, 0))
+    def __init__(self, dimension: int):
+        self._points = np.empty((0, dimension))
         self._fitness = np.empty(0)
         self.needs_ridge = False
 
@@ -75,14 +76,14 @@ class EvaluatedPool:
         inserts in row order would keep. The batch is checked against the
         pool in one ``min_distance`` call.
         """
-        points = _check_points(points, self._points.shape[1] if len(self) else None)
+        points = _check_points(points, self._points.shape[1])
         fitness = np.asarray(fitness, dtype=float)
         if fitness.shape != (len(points),):
             raise ValueError(f"need one fitness per point: {len(points)} points, fitness shape {fitness.shape}")
         if np.isnan(fitness).any():  # also a None fitness, which becomes NaN
             raise ValueError("pool items must carry a true fitness")
         keep = self.admissible(points)
-        self._points = np.vstack((self._points, points[keep])) if len(self) else points[keep]
+        self._points = np.vstack((self._points, points[keep]))
         self._fitness = np.concatenate((self._fitness, fitness[keep]))
         self._points.flags.writeable = self._fitness.flags.writeable = False
         return keep
@@ -101,10 +102,8 @@ class EvaluatedPool:
 
     def min_distance(self, points) -> np.ndarray:
         """Distance from each of (m, d) points to its nearest pool item (inf when empty)."""
-        points = _check_points(points)
-        if len(self) == 0:
-            return np.full(len(points), math.inf)
-        return cdist(points, self._points).min(axis=1)
+        points = _check_points(points, self._points.shape[1])
+        return cdist(points, self._points).min(axis=1, initial=math.inf)
 
     def best_fitness(self) -> float:
         return float(self._fitness.min())
@@ -121,7 +120,8 @@ class EvaluatedPool:
             raise ValueError(f"tail needs n >= 1, got {n}")
         if n is None or n >= len(self):
             return self
-        view = EvaluatedPool()  # unflagged: a window drops old points, so it tries the plain solve again
+        # unflagged: a window drops old points, so it tries the plain solve again
+        view = EvaluatedPool(self._points.shape[1])
         view._points, view._fitness = self._points[-n:], self._fitness[-n:]
         return view
 
@@ -200,13 +200,13 @@ def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], w[:, None])[:, 0, 0]
 
 
-def first_distinct(points: np.ndarray, clear: np.ndarray | None = None) -> np.ndarray:
+def first_distinct(points: np.ndarray, clear: np.ndarray) -> np.ndarray:
     """Mask of the (k, d) rows that taking them one at a time in order keeps.
 
-    Row i is kept when ``clear[i]`` holds (by default every row is clear) and
-    it is more than EXCLUSION_EPSILON from every earlier kept row, by the
-    ``cdist`` distance that ``min_distance`` uses. Rows are compared in
-    chunks of DISTINCT_CHUNK_ROWS, so memory grows with k, not k^2.
+    Row i is kept when ``clear[i]`` holds and it is more than
+    EXCLUSION_EPSILON from every earlier kept row, by the ``cdist`` distance
+    that ``min_distance`` uses. Rows are compared in chunks of
+    DISTINCT_CHUNK_ROWS, so memory grows with k, not k^2.
 
     A chunk whose near pairs are all exact copies (the GA's clones) is
     decided in one step: equality is transitive, so a row is dropped iff an
@@ -214,7 +214,7 @@ def first_distinct(points: np.ndarray, clear: np.ndarray | None = None) -> np.nd
     copy is either kept or dropped for a still earlier copy). Only a chunk
     holding a near but unequal pair decides its rows one at a time.
     """
-    keep = np.ones(len(points), dtype=bool) if clear is None else np.array(clear, dtype=bool)
+    keep = np.array(clear, dtype=bool)
     for start in range(0, len(points), DISTINCT_CHUNK_ROWS):
         stop = min(start + DISTINCT_CHUNK_ROWS, len(points))
         close = cdist(points[start:stop], points[:stop]) <= EXCLUSION_EPSILON
@@ -250,8 +250,6 @@ def fit_lsm(pool: EvaluatedPool) -> LsmModel:
     or when the items are degenerate enough to make X^T X singular.
     """
     n = len(pool)
-    if n == 0:
-        raise SurrogateFitError("cannot fit to an empty pool")
     pts = pool.points()
     d = pts.shape[1]
     if n < 2 * d + 1:

@@ -35,7 +35,7 @@ OBJECTIVES = ("bohachevsky", "ackley", "schwefel")
 
 
 def pool_from(points, fitness):
-    pool = EvaluatedPool()
+    pool = EvaluatedPool(np.shape(points)[1])
     pool.add(points, fitness)
     return pool
 

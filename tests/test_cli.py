@@ -223,6 +223,10 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     # the window would be ignored, and metadata.json would record it for runs it did not affect
     (["run", "--objective", "ackley", "--system", "ga", "--window", "40", "--out", "{out}", *TINY],
      "ga fits no surrogate, so training_window must be unset"),
+    # a window the LSM cannot fit: every cycle would run on the mean fallback
+    (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--window", "3", "--cycles", "5", "--reps", "1",
+      "--pool-size", "10", "--out", "{out}"],
+     "training_window must be >= 5 at dimension 2 so both surrogates can fit, got 3"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
         "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
@@ -232,7 +236,7 @@ def test_compare_prints_summary_median(tmp_path, capsys):
         "config-ga-dict", "config-ga-null", "config-ga-mutation-scale-nan", "stats-short-row",
         "stats-long-row", "stats-bad-int", "stats-bad-float", "run-rate-negative", "run-pool-size-2",
         "run-ga-budget-2", "config-ga-elitism-over-shaped-pop", "compare-pool-size-2", "run-ga-rate-negative",
-        "run-ga-window"])
+        "run-ga-window", "run-window-below-floor"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")

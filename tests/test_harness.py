@@ -26,7 +26,7 @@ from sagrs.harness import (
     summarize,
 )
 from sagrs.recommender import SagrsConfig
-from sagrs.surrogate import EXCLUSION_EPSILON
+from sagrs.surrogate import EXCLUSION_EPSILON, RBF_RIDGE_FACTOR
 
 
 def tiny_spec(out_dir, **overrides):
@@ -343,14 +343,22 @@ def test_median_best_fitness_skips_failed_runs():
     assert comparison.median_best_fitness("ga") == 1.5
 
 
-def test_metadata_records_library_versions(tmp_path):
+def test_metadata_records_library_versions(tmp_path, monkeypatch):
     import scipy
 
     run_experiment(tiny_spec(tmp_path / "exp", repetitions=1))
-    versions = json.loads((tmp_path / "exp" / "metadata.json").read_text())["versions"]
+    metadata = json.loads((tmp_path / "exp" / "metadata.json").read_text())
+    versions = metadata["versions"]
     assert versions["numpy"] == np.__version__
     assert versions["scipy"] == scipy.__version__
     assert set(versions["blas"]) == {"numpy", "scipy"}
+    # the kernel each bundled OpenBLAS picked, which the fits' bits depend on
+    assert versions["openblas_core"] == harness._openblas_cores()
+    assert set(versions["openblas_core"]) == {"numpy", "scipy"}
+    assert all(isinstance(core, str) and core for core in versions["openblas_core"].values())
+    assert metadata["rbf_ridge_factor"] == RBF_RIDGE_FACTOR
+    monkeypatch.setattr(harness, "_openblas_function", lambda *args: None)  # no such symbol
+    assert harness._openblas_cores() == {"numpy": "unknown", "scipy": "unknown"}
 
 
 def test_pool_worker_initializer_pins_one_blas_thread():

@@ -14,7 +14,7 @@ from sagrs.recommender import (
     run_sagrs,
     select_suggestions,
 )
-from sagrs.surrogate import EXCLUSION_EPSILON, EvaluatedPool, MeanModel, fit_lsm
+from sagrs.surrogate import EXCLUSION_EPSILON, EvaluatedPool, MeanModel, SurrogateFitError, fit_lsm
 
 
 def recording_objective(name="bohachevsky", dimension=2):
@@ -40,7 +40,7 @@ def small_config(**overrides):
 
 
 def pool_from(points, values):
-    pool = EvaluatedPool()
+    pool = EvaluatedPool(np.shape(points)[1])
     pool.add(np.asarray(points, float), np.asarray(values, float))
     return pool
 
@@ -71,6 +71,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # 2d+1 = 5 at d=2
         small_config(initial_pool_size=4).validate_for(make_objective("bohachevsky"))
+    # a window below the floor would make every cycle fall back to the mean model
+    with pytest.raises(ValueError, match="training_window must be >= 5 at dimension 2 .* got 4"):
+        small_config(training_window=4).validate_for(make_objective("bohachevsky"))
+    small_config(training_window=5).validate_for(make_objective("bohachevsky"))
 
 
 # ------------------------------------------------------------ metric ops
@@ -184,7 +188,7 @@ def test_nan_prediction_counts_as_scored():
     pop = init_population(obj, cfg, rng)
     for _ in range(3):
         pop = step_generation(pop, model.predict, cfg, obj, rng)
-    select_suggestions(pop, EvaluatedPool(), 4, model, obj, rng)
+    select_suggestions(pop, EvaluatedPool(obj.dimension), 4, model, obj, rng)
     assert pop.scored.all()
     assert np.isnan(pop.scores).any()  # NaN scores survived into the last population
     assert len(model.asked) == len(set(model.asked))  # no individual was asked twice
@@ -282,9 +286,13 @@ def test_reset_and_no_reset_diverge():
     assert not np.array_equal(pts_a, pts_b)
 
 
-def test_fit_failure_falls_back_and_is_flagged():
+def test_fit_failure_falls_back_and_is_flagged(monkeypatch):
+    def failing_fit(pool):
+        raise SurrogateFitError("forced")
+
+    monkeypatch.setattr(surrogate_mod, "fit_lsm", failing_fit)
     obj = make_objective("bohachevsky")
-    cfg = small_config(training_window=3, cycles=3)  # window < 2d+1 breaks the LSM fit
+    cfg = small_config(cycles=3)
     result = run_sagrs(obj, cfg, np.random.default_rng(1))
     assert all(not r.surrogate_fit_ok for r in result.cycle_records)
     assert result.true_evaluations_used == cfg.initial_pool_size + 3 * cfg.suggestions_per_cycle
@@ -304,7 +312,7 @@ def test_suggested_items_carry_true_fitness():
 
 def per_point_initial_pool(obj, size, rng, rejected):
     """The initial pool drawn, checked and inserted one point at a time."""
-    pool = EvaluatedPool()
+    pool = EvaluatedPool(obj.dimension)
     while len(pool) < size:
         draw = obj.sample_uniform(rng, 1)
         if pool.min_distance(draw)[0] <= surrogate_mod.EXCLUSION_EPSILON:

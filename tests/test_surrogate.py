@@ -23,7 +23,7 @@ from sagrs.surrogate import (
 
 
 def pool_from(points, values):
-    pool = EvaluatedPool()
+    pool = EvaluatedPool(np.shape(points)[1])
     pool.add(np.asarray(points, float), np.asarray(values, float))
     return pool
 
@@ -53,11 +53,11 @@ GENERAL_POSITION_6 = [(0.3, -0.7), (1.2, 0.4), (-0.5, 1.1), (2.0, -1.3), (-1.7, 
 
 def test_pool_rejects_unevaluated_items():
     with pytest.raises(ValueError):
-        EvaluatedPool().add(np.zeros((1, 2)), [None])
+        EvaluatedPool(2).add(np.zeros((1, 2)), [None])
     with pytest.raises(ValueError):
-        EvaluatedPool().add(np.zeros((1, 2)), [math.nan])
+        EvaluatedPool(2).add(np.zeros((1, 2)), [math.nan])
     with pytest.raises(ValueError):
-        EvaluatedPool().add(np.zeros((2, 2)), [1.0])  # one fitness for two points
+        EvaluatedPool(2).add(np.zeros((2, 2)), [1.0])  # one fitness for two points
 
 
 def test_pool_deduplicates_at_insertion():
@@ -101,28 +101,28 @@ def seeded_batch(kind, rng):
 @pytest.mark.parametrize("kind", ["exact", "near", "mixed"])
 @pytest.mark.parametrize("chunk_rows", [surrogate_mod.DISTINCT_CHUNK_ROWS, 2])
 def test_first_distinct_matches_single_inserts(monkeypatch, chunk_rows, kind, clear):
-    # clear: no mask; the rows more than epsilon from a pool holding 5 of
+    # clear: every row; the rows more than epsilon from a pool holding 5 of
     # the base points; or a random mask, under which copies differ
     monkeypatch.setattr(surrogate_mod, "DISTINCT_CHUNK_ROWS", chunk_rows)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         base, batch = seeded_batch(kind, rng)
-        pool = pool_from(base[:5], np.zeros(5)) if clear == "pool" else EvaluatedPool()
-        mask = {"none": None, "pool": pool.min_distance(batch) > surrogate_mod.EXCLUSION_EPSILON,
+        pool = pool_from(base[:5], np.zeros(5)) if clear == "pool" else EvaluatedPool(2)
+        mask = {"none": np.ones(len(batch), dtype=bool),
+                "pool": pool.min_distance(batch) > surrogate_mod.EXCLUSION_EPSILON,
                 "random": rng.random(len(batch)) < 0.7}[clear]
         kept = surrogate_mod.first_distinct(batch, mask)
         if clear == "pool":  # the pool's own exclusion rule, checked before the inserts below
             assert pool.admissible(batch).tolist() == kept.tolist()
         # a row outside the mask is neither inserted nor held against later rows
-        singles = [(mask is None or bool(m)) and bool(pool.add(row[None], [1.0])[0])
-                   for row, m in zip(batch, np.ones(len(batch)) if mask is None else mask)]
+        singles = [bool(m) and bool(pool.add(row[None], [1.0])[0]) for row, m in zip(batch, mask)]
         assert kept.tolist() == singles
         assert 0 < np.count_nonzero(kept) < len(batch)
 
 
 def test_pool_arrays_equal_stacked_accepted_items():
     rng = np.random.default_rng(5)
-    pool = EvaluatedPool()
+    pool = EvaluatedPool(3)
     accepted = []
     for point in rng.uniform(-1.0, 1.0, size=(40, 3)):
         for candidate in (point, point + 1e-10):  # the second is a duplicate
@@ -343,7 +343,7 @@ def test_flagged_pool_fits_match_fresh_pools_bitwise():
     # that the plain solve would have given.
     rng = np.random.default_rng(43)
     obj = make_objective("bohachevsky")
-    pool = EvaluatedPool()
+    pool = EvaluatedPool(obj.dimension)
     while len(pool) < 300:
         pts = obj.sample_uniform(rng, 100 if len(pool) == 0 else 8)
         pool.add(pts, [obj.evaluate(p) for p in pts])
@@ -372,6 +372,27 @@ def test_ridged_fit_matches_lu_reference(size):
     probes = np.vstack([obj.sample_uniform(rng, 200), pts[:20]])
     want = RbfModel(centers=pts, weights=weights, sigma=model.sigma, ridge=model.ridge).predict(probes)
     assert np.max(np.abs(model.predict(probes) - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_rbf_fit_approximates_at_real_pool_sizes():
+    # At the pool sizes of real runs the model does not interpolate: on uniform
+    # bohachevsky draws of 100, 500 and 900 points, in that order from one
+    # generator at seed 1, each fit carries a ridge and misses its own
+    # training points by far more than rounding.
+    obj = make_objective("bohachevsky")
+    rng = np.random.default_rng(1)
+    for size, ridge, largest, median in ((100, 3.9253960756876595e-07, 17.53924, 3.021573),
+                                         (500, 1.9723953192327947e-06, 179.0794, 29.73940),
+                                         (900, 3.555730981692082e-06, 277.7719, 39.68494)):
+        pts = obj.sample_uniform(rng, size)
+        pool = pool_from(pts, [obj.evaluate(p) for p in pts])
+        model = fit_rbf(pool)
+        residual = np.abs(model.predict(pts) - pool.fitnesses())
+        assert len(pool) == size
+        assert model.ridge == pytest.approx(ridge, rel=1e-12)  # no LAPACK call shapes the ridge
+        # the residuals come from the solve: the OpenBLAS kernel moves them in the eighth digit
+        assert residual.max() == pytest.approx(largest, rel=1e-5)
+        assert np.median(residual) == pytest.approx(median, rel=1e-5)
 
 
 def test_tail_view_of_flagged_pool_is_unflagged():
@@ -551,7 +572,11 @@ def test_batch_shapes_and_empty_pool():
             model.predict(bad)
     with pytest.raises(ValueError):
         MeanModel(2.0).predict([0.0, 0.0])
-    assert EvaluatedPool().min_distance(np.zeros((2, 3))).tolist() == [math.inf, math.inf]
+    assert EvaluatedPool(3).min_distance(np.zeros((2, 3))).tolist() == [math.inf, math.inf]
+    with pytest.raises(ValueError, match=r"expected \(m, 3\)"):  # the width is the pool's from the start
+        EvaluatedPool(3).add(np.zeros((1, 2)), [1.0])
+    with pytest.raises(SurrogateFitError, match="need at least 7 items for dimension 3, have 0"):
+        fit_lsm(EvaluatedPool(3))
     with pytest.raises(ValueError):
         pool_from([(0.0, 0.0)], [1.0]).min_distance([0.0, 0.0])
     for dimension in (2, 9):  # no rows against a non-empty pool
@@ -559,7 +584,7 @@ def test_batch_shapes_and_empty_pool():
         none = np.zeros((0, dimension))
         assert pool.min_distance(none).shape == (0,)
         assert fit_rbf(pool).predict(none).shape == (0,)
-        assert surrogate_mod.first_distinct(none).shape == (0,)
+        assert surrogate_mod.first_distinct(none, np.ones(0, dtype=bool)).shape == (0,)
 
 
 def predict_row_by_row(self, points):
