@@ -142,9 +142,15 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for axis_name in ("rates", "suggestions", "cycles", "pool_handling"):
-            object.__setattr__(self, axis_name, tuple(getattr(self, axis_name)))
-            if not getattr(self, axis_name):
+            values = getattr(self, axis_name)
+            if not isinstance(values, (list, tuple)):  # a config file's scalar or string
+                raise ValueError(f"sweep axis {axis_name} must be a list of values, got {values!r}")
+            if not values:
                 raise ValueError(f"sweep axis {axis_name} must be nonempty")
+            for i, value in enumerate(values):  # a repeat would run the same runs twice
+                if value in values[:i]:
+                    raise ValueError(f"sweep axis {axis_name} repeats {value!r}")
+            object.__setattr__(self, axis_name, tuple(values))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         # A config file bypasses argparse's types and choices, so check them here.
         for name in ("dimension", "pool_size", "repetitions", "base_seed", "jobs"):
@@ -405,20 +411,21 @@ def _metadata(specs: list[dict], blas_threads: int | str) -> dict:
     }
 
 
-def _run_specs(specs: list[ExperimentSpec], n_workers: int, out_dir: Path) -> ExperimentResult:
+def _run_specs(specs: list[ExperimentSpec]) -> ExperimentResult:
     """Run the jobs of every spec, in order, as one batch, and persist the artifact set.
 
-    metadata.json lists each spec's settings. A failed run keeps its row,
-    with empty metric cells, and is listed in the result's failures; the
-    batch goes on.
+    The specs share their out_dir and jobs. metadata.json lists each spec's
+    settings. A failed run keeps its row, with empty metric cells, and is
+    listed in the result's failures; the batch goes on.
     """
+    out_dir = specs[0].out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a path through a regular file, or onto one
         raise ValueError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
     if not os.access(out_dir, os.W_OK):
         raise ValueError(f"output directory {out_dir} is not writable")
-    outcomes, blas_threads = _run_jobs([job for spec in specs for job in spec._jobs], n_workers)
+    outcomes, blas_threads = _run_jobs([job for spec in specs for job in spec._jobs], specs[0].jobs)
     settings = [{k: v for k, v in asdict(spec).items() if k not in ("out_dir", "jobs")} for spec in specs]
     run_rows = [row for row, _, _ in outcomes]
     cycle_rows = [cr for _, rows, _ in outcomes for cr in rows]
@@ -438,7 +445,7 @@ def _run_specs(specs: list[ExperimentSpec], n_workers: int, out_dir: Path) -> Ex
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the whole sweep grid x repetitions and persist the artifact set."""
-    return _run_specs([spec], spec.jobs, spec.out_dir)
+    return _run_specs([spec])
 
 
 # Per-objective settings for the five-system comparison. Rates and pool
@@ -473,38 +480,28 @@ class ComparisonResult:
         return [row["convergence_cycle"] for row in self.rows_by_system[system]]
 
 
-def run_compare(
-    objective: str,
-    dimension: int = 2,
-    repetitions: int = 10,
-    base_seed: int = 0,
-    out_dir: Path | None = None,
-    cycles: int = 100,
-    pool_size: int = 100,
-    ga: GaConfig | None = None,
-    jobs: int | None = None,
-) -> ComparisonResult:
+def run_compare(objective: str, cycles: int | None = None, out_dir: Path | None = None,
+                **shared) -> ComparisonResult:
     """Run all five systems on one objective, the plain GA capped at their budget.
 
+    shared holds ExperimentSpec fields, passed to each system's spec; one left
+    out takes the field's default, and so does cycles, a single count here.
     The cap is the largest budget any recommender configuration uses,
     pool_size + cycles * suggestions; ``true_evals`` in runs.csv is what a GA
-    run spent. ``jobs`` defaults to default_jobs(). Bad settings raise
-    ValueError before the first run starts.
+    run spent. Bad settings raise ValueError before the first run starts.
     """
-    objectives.make_objective(objective, dimension)  # ValueError before the preset lookup
-    ga = ga if ga is not None else GaConfig()
-    jobs = jobs if jobs is not None else default_jobs()
-    out_dir = Path(out_dir) if out_dir is not None else default_out_dir() / f"compare_{objective}"
+    objectives.make_objective(objective)  # an unknown name is a ValueError before the preset lookup
+    if cycles is not None:
+        shared["cycles"] = (cycles,)
+    out_dir = out_dir if out_dir is not None else default_out_dir() / f"compare_{objective}"
     presets = {kind: preset for (name, kind), preset in COMPARE_PRESETS.items() if name == objective}
-    shared = dict(objective=objective, dimension=dimension, cycles=(cycles,), pool_size=pool_size,
-                  repetitions=repetitions, base_seed=base_seed, out_dir=out_dir, ga=ga, jobs=jobs)
     specs = []
     for system, row in _SYSTEMS.items():
         settings = row.compare_settings(presets)
-        specs.append(ExperimentSpec(system=system, rates=(settings["rate"],), suggestions=(settings["suggestions"],),
-                                    pool_handling=(settings["pool_handling"],), **shared))
-    ga_budget = specs[SYSTEMS.index("ga")]._jobs[0]["config"].budget  # its pool_size + cycles * suggestions
-    result = _run_specs(specs, jobs, out_dir)
+        specs.append(ExperimentSpec(objective, system, rates=(settings["rate"],), suggestions=(settings["suggestions"],),
+                                    pool_handling=(settings["pool_handling"],), out_dir=out_dir, **shared))
+    ga_budget = max(job["config"].budget for spec in specs for job in spec._jobs)
+    result = _run_specs(specs)
     rows_by_system = {system: [r for r in result.run_rows if r["system"] == system] for system in SYSTEMS}
     return ComparisonResult(rows_by_system=rows_by_system, ga_budget=ga_budget, result=result)
 

@@ -227,6 +227,15 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--window", "3", "--cycles", "5", "--reps", "1",
       "--pool-size", "10", "--out", "{out}"],
      "training_window must be >= 5 at dimension 2 so both surrogates can fit, got 3"),
+    # a repeated axis value would run the same runs twice, and count them twice in summary.json
+    (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--out", "{out}", *TINY, "--rate", "1", "1"],
+     "sweep axis rates repeats 1"),
+    (["run", "--objective", "ackley", "--system", "ga", "--out", "{out}", *TINY,
+      "--pool-handling", "reset", "reset"], "sweep axis pool_handling repeats 'reset'"),
+    # an axis is a list: a scalar is not iterable, and a string would split into letters
+    (["run", "--config", {"cycles": 2}], "sweep axis cycles must be a list of values, got 2"),
+    (["run", "--config", {"pool_handling": "no_reset"}],
+     "sweep axis pool_handling must be a list of values, got 'no_reset'"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
         "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
@@ -236,7 +245,8 @@ def test_compare_prints_summary_median(tmp_path, capsys):
         "config-ga-dict", "config-ga-null", "config-ga-mutation-scale-nan", "stats-short-row",
         "stats-long-row", "stats-bad-int", "stats-bad-float", "run-rate-negative", "run-pool-size-2",
         "run-ga-budget-2", "config-ga-elitism-over-shaped-pop", "compare-pool-size-2", "run-ga-rate-negative",
-        "run-ga-window", "run-window-below-floor"])
+        "run-ga-window", "run-window-below-floor", "run-rate-repeated", "run-ga-pool-handling-repeated",
+        "config-cycles-scalar", "config-pool-handling-str"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")

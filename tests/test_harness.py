@@ -4,7 +4,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import FrozenInstanceError, asdict
+from dataclasses import FrozenInstanceError, asdict, fields
 
 import numpy as np
 import pytest
@@ -326,9 +326,30 @@ def test_spec_validation():
                               "evaluation_rate must be an integer, got 1.5"),
         ({"pool_handling": ("reset", "sometimes")}, "ga at rate 1, suggestions 4, cycles 100, "
                                                     "pool_handling 'sometimes': pool_handling must be one of"),
+        # a repeated value would run the same runs twice
+        ({"rates": (1, 2, 1)}, "sweep axis rates repeats 1"),
+        ({"suggestions": [4, 4]}, "sweep axis suggestions repeats 4"),
+        ({"cycles": (10, 20, 20)}, "sweep axis cycles repeats 20"),
+        ({"pool_handling": ("no_reset", "reset", "no_reset")}, "sweep axis pool_handling repeats 'no_reset'"),
+        # an axis is a list or a tuple, not a scalar or a string
+        ({"cycles": 100}, "sweep axis cycles must be a list of values, got 100"),
+        ({"pool_handling": "reset"}, "sweep axis pool_handling must be a list of values, got 'reset'"),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(objective="ackley", system="ga", **bad)
+
+
+def test_compare_defaults_and_budget_come_from_the_specs(tmp_path):
+    comparison = run_compare("bohachevsky", out_dir=tmp_path / "cmp", cycles=2, pool_size=8, repetitions=1,
+                             ga=GaConfig(population_size=10))
+    left_out = {f.name: f.default for f in fields(ExperimentSpec)
+                if f.name in ("dimension", "base_seed", "training_window")}
+    specs = json.loads((tmp_path / "cmp" / "metadata.json").read_text())["specs"]
+    assert [{name: spec[name] for name in left_out} for spec in specs] == [left_out] * len(SYSTEMS)
+    # bohachevsky's presets give 4 and 8 suggestions; the cap is the larger budget
+    assert sorted({spec["suggestions"][0] for spec in specs}) == [4, 8]
+    assert comparison.ga_budget == 8 + 2 * 8
+    assert all(row["true_evals"] <= comparison.ga_budget for row in comparison.result.run_rows)
 
 
 def test_run_compare_unknown_objective_is_value_error(tmp_path):
