@@ -74,10 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(run_p)
     run_p.add_argument("--config", type=Path, help="JSON file with flat experiment settings")
     run_p.add_argument("--system", choices=SYSTEMS)
-    run_p.add_argument("--rate", dest="rates", type=int, nargs="+")
-    run_p.add_argument("--suggestions", type=int, nargs="+")
-    run_p.add_argument("--cycles", type=int, nargs="+")
-    run_p.add_argument("--pool-handling", choices=POOL_HANDLING_MODES, nargs="+")
+    # an axis flag given twice adds to its axis
+    run_p.add_argument("--rate", dest="rates", type=int, nargs="+", action="extend")
+    run_p.add_argument("--suggestions", type=int, nargs="+", action="extend")
+    run_p.add_argument("--cycles", type=int, nargs="+", action="extend")
+    run_p.add_argument("--pool-handling", choices=POOL_HANDLING_MODES, nargs="+", action="extend")
     run_p.add_argument("--window", dest="training_window", type=int, help="surrogate training window")
 
     for name, helptext in (
@@ -114,7 +115,13 @@ def _library_kwargs(flags: dict, command: str, parser) -> dict:
     settings = flags
     if config is not None:
         with open(config) as fh:
-            settings = {**json.load(fh), **flags}
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"config file {config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {config} must hold a JSON object")
+        settings = {**loaded, **flags}
     ga_kwargs = {field: settings.pop(key) for key, field in _GA_KEYS.items() if key in settings}
     if ga_kwargs:  # a config file's own "ga" key stays, for ExperimentSpec to reject
         settings.setdefault("ga", GaConfig(**ga_kwargs))

@@ -151,6 +151,8 @@ class ExperimentSpec:
                 if value in values[:i]:
                     raise ValueError(f"sweep axis {axis_name} repeats {value!r}")
             object.__setattr__(self, axis_name, tuple(values))
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         # A config file bypasses argparse's types and choices, so check them here.
         for name in ("dimension", "pool_size", "repetitions", "base_seed", "jobs"):
@@ -242,63 +244,49 @@ def _execute_job(job: dict) -> tuple[dict, list[dict], str | None]:
 _OPENBLAS = {"scipy": (scipy.linalg._flapack, ""), "numpy": (np.linalg._umath_linalg, "64_")}
 
 
-def _openblas_function(library: str, name: str, restype, argtypes=()):
-    """``scipy_openblas_<name>`` of the OpenBLAS bundled with library ("scipy" or "numpy"); None where missing."""
-    module, suffix = _OPENBLAS[library]
-    try:
-        function = ctypes.CDLL(module.__file__)[f"scipy_openblas_{name}{suffix}"]
-    except (AttributeError, OSError):
-        return None
-    function.argtypes, function.restype = list(argtypes), restype
-    return function
-
-
-def _openblas_thread_controls() -> dict[str, tuple]:
-    """(get, set) thread-count functions of the OpenBLAS bundled with scipy and numpy; one without them is left out."""
-    controls = {library: (_openblas_function(library, "get_num_threads", ctypes.c_int),
-                          _openblas_function(library, "set_num_threads", None, [ctypes.c_int]))
-                for library in _OPENBLAS}
-    return {library: pair for library, pair in controls.items() if None not in pair}
+def _openblas(name: str, restype, argtypes=()) -> dict:
+    """``scipy_openblas_<name>`` of each bundled OpenBLAS that exports it, by library ("scipy", "numpy")."""
+    functions = {}
+    for library, (module, suffix) in _OPENBLAS.items():
+        try:
+            function = ctypes.CDLL(module.__file__)[f"scipy_openblas_{name}{suffix}"]
+        except (AttributeError, OSError):
+            continue
+        function.argtypes, function.restype = list(argtypes), restype
+        functions[library] = function
+    return functions
 
 
 def _openblas_cores() -> dict[str, str]:
     """The kernel each bundled OpenBLAS picked for this CPU or OPENBLAS_CORETYPE; "unknown" where it cannot say."""
-    cores = {}
-    for library in _OPENBLAS:
-        corename = _openblas_function(library, "get_corename", ctypes.c_char_p)
-        cores[library] = "unknown" if corename is None else corename().decode()
-    return cores
-
-
-def _openblas_threads() -> int | str:
-    """Threads of the OpenBLAS that scipy's LAPACK links, read without setting it.
-
-    "unknown" where the symbol is missing.
-    """
-    control = _openblas_thread_controls().get("scipy")
-    return "unknown" if control is None else control[0]()
+    corenames = _openblas("get_corename", ctypes.c_char_p)
+    return {library: corenames[library]().decode() if library in corenames else "unknown" for library in _OPENBLAS}
 
 
 def _one_blas_thread() -> list[tuple]:
     """Set each bundled OpenBLAS not at one thread to one; returns (set, count found) pairs of those.
 
-    Also the pool's initializer, which pins a spawn or forkserver worker. A forked worker
-    inherits the batch's pin and sets nothing: setting a count restarts the threads, which spin.
+    A library without both thread-count functions is left as it is. Also the pool's
+    initializer, which pins a spawn or forkserver worker. A forked worker inherits
+    the batch's pin and sets nothing: setting a count restarts the threads, which spin.
     """
+    setters = _openblas("set_num_threads", None, [ctypes.c_int])
     found = []
-    for get_threads, set_threads in _openblas_thread_controls().values():
+    for library, get_threads in _openblas("get_num_threads", ctypes.c_int).items():
         count = get_threads()
-        if count != 1:
-            set_threads(1)
-            found.append((set_threads, count))
+        if library in setters and count != 1:
+            setters[library](1)
+            found.append((setters[library], count))
     return found
 
 
 def _run_jobs(jobs: list[dict], n_workers: int):
-    """Run the jobs with one BLAS thread; returns the outcomes and that count, read inside the pin."""
+    """Run the jobs with one BLAS thread; returns the outcomes and scipy's OpenBLAS count, read inside the pin."""
     n_workers = min(n_workers, len(jobs))  # a fork start forks every worker at the first submit
     found = _one_blas_thread()  # before the pool forks its workers
     try:
+        threads = _openblas("get_num_threads", ctypes.c_int)
+        blas_threads = threads["scipy"]() if "scipy" in threads else "unknown"
         if n_workers > 1:
             outcomes = []
             with ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread) as pool:
@@ -308,8 +296,8 @@ def _run_jobs(jobs: list[dict], n_workers: int):
                         outcomes.append(future.result())
                     except BrokenProcessPool as exc:  # a worker died: this run had not finished
                         outcomes.append((_run_row(job), [], f"{type(exc).__name__}: {exc}"))
-            return outcomes, _openblas_threads()
-        return [_execute_job(job) for job in jobs], _openblas_threads()
+            return outcomes, blas_threads
+        return [_execute_job(job) for job in jobs], blas_threads
     finally:
         for set_threads, count in found:
             set_threads(count)

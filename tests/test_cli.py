@@ -83,6 +83,17 @@ def test_flags_override_config(tmp_path):
     assert rows[0]["objective"] == "schwefel"
 
 
+def test_repeated_axis_flag_adds_to_its_axis(tmp_path):
+    assert run_tiny(tmp_path / "o", "--rate", "1", "--rate", "2") == 0
+    run_ids = [row["run_id"] for row in read_runs_csv(tmp_path / "o" / "runs.csv")]
+    assert [run_id.split("_")[3] for run_id in run_ids] == ["r1", "r1", "r2", "r2"]  # sagrs-lsm_bohachevsky_d2_r1_...
+    # a flag still replaces the config file's axis, not extends it
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({**VALID_CONFIG, "rates": [4]}))
+    assert cli_main(["run", "--config", str(path), "--rate", "1", "--rate", "2", "--out", str(tmp_path / "c")]) == 0
+    assert {row["rate"] for row in read_runs_csv(tmp_path / "c" / "runs.csv")} == {1, 2}
+
+
 def test_stats_subcommand_prints_summary_json(tmp_path, capsys):
     run_tiny(tmp_path / "out")
     capsys.readouterr()
@@ -171,7 +182,7 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--out", "{out}", *TINY,
       "--cycles", "0"], "cycles must be >= 1"),
     (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--out", "{out}", *TINY,
-      "--suggestions", "2", "0"], "rate 1, suggestions 0, cycles 3, pool_handling 'reset': "
+      "--suggestions", "0"], "rate 1, suggestions 0, cycles 3, pool_handling 'reset': "
                                   "suggestions_per_cycle must be >= 1"),
     (["run", "--objective", "ackley", "--system", "ga", "--pool-size", "-3", "--cycles", "2",
       "--suggestions", "4", "--reps", "1", "--ga-pop", "10", "--out", "{out}"], "pool_size must be >= 1"),
@@ -232,10 +243,17 @@ def test_compare_prints_summary_median(tmp_path, capsys):
      "sweep axis rates repeats 1"),
     (["run", "--objective", "ackley", "--system", "ga", "--out", "{out}", *TINY,
       "--pool-handling", "reset", "reset"], "sweep axis pool_handling repeats 'reset'"),
+    (["run", "--objective", "ackley", "--system", "sagrs-lsm", "--out", "{out}", *TINY, "--rate", "1",
+      "--rate", "1"], "sweep axis rates repeats 1"),
     # an axis is a list: a scalar is not iterable, and a string would split into letters
     (["run", "--config", {"cycles": 2}], "sweep axis cycles must be a list of values, got 2"),
     (["run", "--config", {"pool_handling": "no_reset"}],
      "sweep axis pool_handling must be a list of values, got 'no_reset'"),
+    # a config file's error names the file, or the key
+    (["run", "--config", "{bad_json_config}"],
+     "bad.json: Expecting property name enclosed in double quotes: line 1 column 24 (char 23)"),
+    (["run", "--config", "{array_config}"], "array.json must hold a JSON object"),
+    (["run", "--config", {"out_dir": None}], "out_dir must be a path, got None"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
         "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
@@ -246,7 +264,8 @@ def test_compare_prints_summary_median(tmp_path, capsys):
         "stats-long-row", "stats-bad-int", "stats-bad-float", "run-rate-negative", "run-pool-size-2",
         "run-ga-budget-2", "config-ga-elitism-over-shaped-pop", "compare-pool-size-2", "run-ga-rate-negative",
         "run-ga-window", "run-window-below-floor", "run-rate-repeated", "run-ga-pool-handling-repeated",
-        "config-cycles-scalar", "config-pool-handling-str"])
+        "run-rate-repeated-flag", "config-cycles-scalar", "config-pool-handling-str", "config-invalid-json",
+        "config-array", "config-out-dir-null"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")
@@ -258,6 +277,9 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     bad_int_csv, bad_float_csv = tmp_path / "bad-int.csv", tmp_path / "bad-float.csv"
     bad_int_csv.write_text(f"{header}\n{','.join({**row, 'dimension': 'abc'}.values())}\n")
     bad_float_csv.write_text(f"{header}\n{','.join({**row, 'best_fitness': 'zz'}.values())}\n")
+    bad_json_config, array_config = tmp_path / "bad.json", tmp_path / "array.json"
+    bad_json_config.write_text('{"objective": "ackley",}')
+    array_config.write_text(json.dumps([VALID_CONFIG]))
 
     def fill(arg):
         if isinstance(arg, dict):  # a config file: VALID_CONFIG with these settings over it
@@ -265,7 +287,8 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
             path.write_text(json.dumps({**VALID_CONFIG, "out_dir": str(tmp_path / "out"), **arg}))
             return str(path)
         return arg.format(out=tmp_path / "out", foreign_csv=foreign_csv, short_row_csv=short_row_csv,
-                          long_row_csv=long_row_csv, bad_int_csv=bad_int_csv, bad_float_csv=bad_float_csv)
+                          long_row_csv=long_row_csv, bad_int_csv=bad_int_csv, bad_float_csv=bad_float_csv,
+                          bad_json_config=bad_json_config, array_config=array_config)
 
     argv = [fill(a) for a in argv]
     with pytest.raises(SystemExit) as excinfo:

@@ -1,4 +1,6 @@
 import csv
+import ctypes
+import functools
 import json
 import multiprocessing
 import os
@@ -378,35 +380,46 @@ def test_metadata_records_library_versions(tmp_path, monkeypatch):
     assert set(versions["openblas_core"]) == {"numpy", "scipy"}
     assert all(isinstance(core, str) and core for core in versions["openblas_core"].values())
     assert metadata["rbf_ridge_factor"] == RBF_RIDGE_FACTOR
-    monkeypatch.setattr(harness, "_openblas_function", lambda *args: None)  # no such symbol
+    monkeypatch.setattr(harness, "_openblas", lambda *args: {})  # no such symbol
     assert harness._openblas_cores() == {"numpy": "unknown", "scipy": "unknown"}
 
 
+def scipy_threads():
+    """The thread count of scipy's OpenBLAS, None where it exports no get_num_threads; a pool can run it."""
+    get_threads = harness._openblas("get_num_threads", ctypes.c_int).get("scipy")
+    return None if get_threads is None else get_threads()
+
+
 def test_pool_worker_initializer_pins_one_blas_thread():
-    controls = harness._openblas_thread_controls()
-    if "scipy" not in controls:
+    set_threads = harness._openblas("set_num_threads", None, [ctypes.c_int]).get("scipy")
+    found = scipy_threads()
+    if set_threads is None or found is None:
         pytest.skip("scipy's OpenBLAS exposes no thread-count functions here")
-    get_threads, set_threads = controls["scipy"]
-    found = get_threads()
     set_threads(2)  # a forked worker starts from the parent's count
     try:
         with ProcessPoolExecutor(max_workers=1, initializer=harness._one_blas_thread) as pool:
-            assert pool.submit(harness._openblas_threads).result() == 1
+            assert pool.submit(scipy_threads).result() == 1
     finally:
         set_threads(found)
 
 
-def fake_blas(monkeypatch, **counts):
-    """Swap the OpenBLAS thread controls for fakes at the given counts; returns the counts and the sets."""
+def fake_blas(monkeypatch, unset=(), **counts):
+    """Swap the OpenBLAS lookup for fakes at the given counts; returns the counts and the sets.
+
+    The libraries in unset export get_num_threads but no set_num_threads.
+    """
     sets = []
 
-    def control(name):
-        def set_threads(n):
-            sets.append((name, n))
-            counts[name] = n
-        return (lambda: counts[name]), set_threads
+    def set_threads(library, n):
+        sets.append((library, n))
+        counts[library] = n
 
-    monkeypatch.setattr(harness, "_openblas_thread_controls", lambda: {name: control(name) for name in counts})
+    functions = {
+        "get_num_threads": {library: functools.partial(counts.get, library) for library in counts},
+        "set_num_threads": {library: functools.partial(set_threads, library)
+                            for library in counts if library not in unset},
+    }
+    monkeypatch.setattr(harness, "_openblas", lambda name, *types: functions.get(name, {}))
     return counts, sets
 
 
@@ -459,12 +472,29 @@ def test_batch_runs_and_records_one_blas_thread(tmp_path, monkeypatch, jobs):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    found = harness._openblas_threads()
+    found = scipy_threads()
     run_experiment(tiny_spec(tmp_path / "exp", jobs=jobs))
     assert initializers == ([harness._one_blas_thread] if jobs > 1 else [])
     versions = json.loads((tmp_path / "exp" / "metadata.json").read_text())["versions"]
-    assert versions["scipy_openblas_threads"] == (1 if "scipy" in harness._openblas_thread_controls() else "unknown")
-    assert harness._openblas_threads() == found  # the serial path restores the count it found
+    assert versions["scipy_openblas_threads"] == ("unknown" if found is None else 1)
+    assert scipy_threads() == found  # the serial batch and the pool batch restore the count they found
+
+
+def test_library_without_set_num_threads_is_neither_set_nor_restored(tmp_path, monkeypatch):
+    counts, sets = fake_blas(monkeypatch, unset=("scipy",), scipy=2, numpy=3)
+    run_experiment(tiny_spec(tmp_path / "exp", repetitions=1))
+    assert sets == [("numpy", 1), ("numpy", 3)] and counts == {"scipy": 2, "numpy": 3}
+    versions = json.loads((tmp_path / "exp" / "metadata.json").read_text())["versions"]
+    assert versions["scipy_openblas_threads"] == 2  # read, though it could not be set
+
+
+def test_batch_without_scipy_thread_functions_records_unknown(tmp_path, monkeypatch):
+    counts, sets = fake_blas(monkeypatch, numpy=2)
+    run_experiment(tiny_spec(tmp_path / "exp", repetitions=1))
+    assert sets == [("numpy", 1), ("numpy", 2)] and counts == {"numpy": 2}
+    versions = json.loads((tmp_path / "exp" / "metadata.json").read_text())["versions"]
+    assert versions["scipy_openblas_threads"] == "unknown"
+    assert versions["openblas_core"] == {"numpy": "unknown", "scipy": "unknown"}
 
 
 def test_metadata_records_exclusion_epsilon(tmp_path):
