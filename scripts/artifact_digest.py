@@ -20,12 +20,12 @@ line that differs. The reference was written with one OpenBLAS thread
 OpenBLAS kernel. CI runs the commands without ``--check``, and each of them
 must exit 0. It runs them five times, and compares each run's lines with
 the first's:
-- twice with one thread, so a rerun keeps the bytes: all 60 lines;
+- twice with one thread, so a rerun keeps the bytes: all 64 lines;
 - once with the variable unset, because every batch pins one thread
-  itself: all 60 lines;
+  itself: all 64 lines;
 - once each under ``OPENBLAS_CORETYPE=Haswell`` and ``=Prescott``, which
   pick other OpenBLAS kernels for that process. The surrogate fits' bits
-  differ between kernels, and the 45 ``runs.csv``, ``cycles.csv`` and
+  differ between kernels, and the 48 ``runs.csv``, ``cycles.csv`` and
   ``summary.json`` lines must not; the ``metadata.json`` lines are left
   out, because they name the kernel.
 The check itself is not part of CI: the reference holds the bytes of one
@@ -65,6 +65,9 @@ COMMANDS = (
       for obj in OBJECTIVES),
     ("run-window", ["run", "--objective", "bohachevsky", "--system", "sagrs-rbf", "--window", "40",
                     "--suggestions", "8", "--cycles", "40", "--reps", "2", "--seed", "13"]),
+    # the one command above d = 2: its LSM normal equations are 21 x 21
+    ("compare-ackley-d10", ["compare", "--objective", "ackley", "--dimension", "10", "--reps", "2",
+                            "--cycles", "10", "--pool-size", "30", "--seed", "19", "--jobs", "2"]),
 )
 
 

@@ -30,6 +30,7 @@ import scipy.linalg
 from . import __version__, objectives
 from .baselines import run_ga_baseline, run_random_recommender, shape_ga
 from .evolution import GA_RNG_LAYOUT, GaConfig, is_int
+from .linalg import SINGULARITY_TOL
 from .objectives import make_objective
 from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
 from .surrogate import RBF_RIDGE_FACTOR
@@ -376,11 +377,9 @@ def _metadata(specs: list[dict], blas_threads: int | str) -> dict:
         "rbf_activation": "1 - exp(-r^2 / (2 sigma^2))",
         "rbf_ridge_factor": RBF_RIDGE_FACTOR,
         "lsm_form": "second-order polynomial without cross terms, normal-equation solve",
-        "linear_solves": {
-            "lsm_normal_equations": "LU with partial pivoting (LAPACK dgetrf/dgetrs)",
-            "rbf_plain": "LU with partial pivoting (LAPACK dgetrf/dgetrs)",
-            "rbf_ridged": "Bunch-Kaufman symmetric-indefinite LDL^T (LAPACK dsytrf/dsytrs)",
-        },
+        "linear_solves": "Bunch-Kaufman symmetric-indefinite LDL^T (LAPACK dsytrf/dsytrs) for the LSM "
+                         "normal equations and the plain and ridged RBF systems",
+        "singularity_tol": SINGULARITY_TOL,
         "ga_operators": {
             "selection": "truncation; mating pool = ceil(selection_factor * population)",
             "recombination": "per-coordinate arithmetic blend with uniform weights",

@@ -1,15 +1,13 @@
-"""Dense linear solves with an explicit singularity check.
+"""Dense symmetric linear solves with an explicit singularity check.
 
 Matrices are 2-D float64 numpy arrays. Both surrogate fits need to detect
 rank-deficient systems (coincident pool points make the RBF activation
-matrix exactly singular) and regularize, so each solve checks its pivots
-against the scale of the rows they came from:
-
-* ``solve`` -- any square system, by LU with partial pivoting (LAPACK
-  ``dgetrf``/``dgetrs``).
-* ``solve_symmetric`` -- a symmetric, possibly indefinite system, by the
-  Bunch-Kaufman factorization L D L^T with 1x1 and 2x2 pivot blocks
-  (LAPACK ``dsytrf``/``dsytrs``), about half the flops of the LU.
+matrix exactly singular) and regularize. Every system they solve is
+symmetric: the LSM normal equations X^T X and the RBF activation matrix,
+plain or ridged. So there is one solve, ``solve``, by the Bunch-Kaufman
+factorization L D L^T with 1x1 and 2x2 pivot blocks (LAPACK
+``dsytrf``/``dsytrs``), which checks its pivots against the scale of the
+rows they came from.
 """
 
 from __future__ import annotations
@@ -32,11 +30,18 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
-def _check_system(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a and b as float matrices, and the row scale of a (its largest |entry| per row).
+def solve(a, b) -> np.ndarray:
+    """Solve a @ x = b for symmetric, possibly indefinite a via Bunch-Kaufman.
 
-    The scale is max(max(row), -min(row)), bitwise the largest |entry|
-    without an n^2 abs temporary. Raises SingularMatrixError on a zero row.
+    a must be symmetric: only one triangle of it is read. The factorization
+    is written over a when a is a C- or Fortran-ordered float64 array (a
+    symmetric C-ordered array is factored through its transpose), so pass a
+    copy of a matrix that is used again. Raises SingularMatrixError, so
+    callers can fall back or regularize instead of silently consuming
+    garbage, on an all-zero row, an exactly zero pivot, a non-finite factor,
+    and a 1x1 pivot or a 2x2 pivot block's smaller |eigenvalue| below
+    SINGULARITY_TOL times the scale of the original row it came from (its
+    largest |entry|; for a block, the larger scale of its two rows).
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
@@ -45,45 +50,12 @@ def _check_system(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
     if b.shape[0] != n:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
+    # max(max(row), -min(row)) is bitwise the largest |entry| without an n^2 abs temporary
     row_scale = np.maximum(a.max(axis=1), -a.min(axis=1))
     if np.any(row_scale == 0.0):
         raise SingularMatrixError("matrix has an all-zero row")
-    return a, b, row_scale
 
-
-def solve(a, b) -> np.ndarray:
-    """Solve a @ x = b for square a via partially pivoted LU.
-
-    Raises SingularMatrixError when any pivot falls below SINGULARITY_TOL
-    relative to the row scale of a, so callers can fall back or regularize
-    instead of silently consuming garbage.
-    """
-    a, b, row_scale = _check_system(a, b)
-    lu, piv, _ = lapack.dgetrf(a)
-
-    # Apply the factorization's row interchanges to the row scales, so each
-    # pivot is compared with the scale of the original row it came from.
-    pivot_row_scale = lapack.dlaswp(row_scale.reshape(-1, 1), piv)[:, 0]
-    pivots = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or np.any(pivots < SINGULARITY_TOL * pivot_row_scale):
-        raise SingularMatrixError("matrix is singular or near-singular")
-
-    return lapack.dgetrs(lu, piv, b)[0]
-
-
-def solve_symmetric(a, b) -> np.ndarray:
-    """Solve a @ x = b for symmetric, possibly indefinite a via Bunch-Kaufman.
-
-    Only one triangle of a is read, and the factorization is written over a
-    when a is a C- or Fortran-ordered float64 array (a symmetric C-ordered
-    array is factored through its transpose). Raises SingularMatrixError,
-    with the checks of ``solve``, on an all-zero row, an exactly zero pivot,
-    a non-finite factor, and a 1x1 pivot or a 2x2 pivot block's smaller
-    |eigenvalue| below SINGULARITY_TOL times the scale of the original row
-    it came from (for a block, the larger scale of its two rows).
-    """
-    a, b, row_scale = _check_system(a, b)
-    lwork = int(lapack.dsytrf_lwork(a.shape[0])[0])
+    lwork = int(lapack.dsytrf_lwork(n)[0])
     ldu, ipiv, info = lapack.dsytrf(a.T if a.flags.c_contiguous else a, lwork=lwork, overwrite_a=True)
     if info > 0 or not np.all(np.isfinite(ldu)):
         raise SingularMatrixError("matrix is singular or near-singular")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .linalg import SingularMatrixError, solve, solve_symmetric
+from .linalg import SingularMatrixError, solve
 
 MODEL_KINDS = ("lsm", "rbf")
 
@@ -276,11 +276,11 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     plain system was singular once is marked and skips the plain attempt
     afterwards: a pool only grows, and no growing pool was seen to get a
     solvable plain system back.
-    The plain attempt is a pivoted LU (``solve``), whose singularity check
-    decides when the model stops interpolating. The ridged system is
-    symmetric and indefinite (zero diagonal plus a small ridge), so it is
-    factored by Bunch-Kaufman (``solve_symmetric``), about half the LU's work.
-    Raises SurrogateFitError when the ridged system is singular too.
+    Both systems are symmetric and indefinite (a zero diagonal, plus the
+    ridge), and both go through the Bunch-Kaufman ``solve``, whose
+    singularity check on the plain system decides when the model stops
+    interpolating. Raises SurrogateFitError when the ridged system is
+    singular too.
     """
     n = len(pool)
     if n < 2:
@@ -292,7 +292,7 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     targets = pool.fitnesses().reshape(n, 1)
     if not pool.needs_ridge:
         try:
-            weights = solve(phi, targets)
+            weights = solve(phi.copy(), targets)  # solve factors in place; the ridge needs phi
         except SingularMatrixError:
             pool.needs_ridge = True
         else:
@@ -302,7 +302,7 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     ridge = RBF_RIDGE_FACTOR * float(np.sum(phi)) / n
     phi[np.diag_indices(n)] += ridge
     try:
-        weights = solve_symmetric(phi, targets)  # factored in place; phi is not used again
+        weights = solve(phi, targets)  # factored in place; phi is not used again
     except SingularMatrixError as exc:
         raise SurrogateFitError(f"activation matrix is singular even with ridge: {exc}") from exc
     return RbfModel(centers=pts, weights=weights.ravel(), sigma=sigma, ridge=ridge)

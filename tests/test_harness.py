@@ -27,6 +27,7 @@ from sagrs.harness import (
     run_experiment,
     summarize,
 )
+from sagrs.linalg import SINGULARITY_TOL
 from sagrs.recommender import SagrsConfig
 from sagrs.surrogate import EXCLUSION_EPSILON, RBF_RIDGE_FACTOR
 
@@ -380,6 +381,7 @@ def test_metadata_records_library_versions(tmp_path, monkeypatch):
     assert set(versions["openblas_core"]) == {"numpy", "scipy"}
     assert all(isinstance(core, str) and core for core in versions["openblas_core"].values())
     assert metadata["rbf_ridge_factor"] == RBF_RIDGE_FACTOR
+    assert metadata["singularity_tol"] == SINGULARITY_TOL  # it decides when an RBF fit takes the ridge
     monkeypatch.setattr(harness, "_openblas", lambda *args: {})  # no such symbol
     assert harness._openblas_cores() == {"numpy": "unknown", "scipy": "unknown"}
 

@@ -1,11 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
-from sagrs.linalg import SINGULARITY_TOL, SingularMatrixError, solve, solve_symmetric
+from sagrs.linalg import SINGULARITY_TOL, SingularMatrixError, solve
 
 
 def test_mat_mul_identity():
@@ -59,98 +57,58 @@ def test_solve_rank_deficient():
         solve(a, np.array([[1.0], [2.0]]))
 
 
+def normal_equations(rng, m, d):
+    """X^T X for the LSM design matrix [1, x, x^2] of m uniform points in [-2, 2]^d."""
+    x = rng.uniform(-2, 2, size=(m, d))
+    x_mat = np.hstack([np.ones((m, 1)), x, x * x])
+    return x_mat.T @ x_mat
+
+
 def test_solve_identical_rows_always_singular():
+    # positive definite normal equations, two of whose rows and columns are made equal
     rng = np.random.default_rng(3)
     for _ in range(20):
-        n = int(rng.integers(2, 7))
-        a = rng.uniform(-2, 2, size=(n, n))
+        d = int(rng.integers(1, 4))
+        a = normal_equations(rng, int(rng.integers(2 * d + 1, 20)), d)
+        n = len(a)
         i, j = rng.choice(n, size=2, replace=False)
-        a[i] = a[j]
+        a[i], a[:, i] = a[j], a[:, j]
+        a[i, i] = a[i, j] = a[j, i] = a[j, j]
+        assert np.array_equal(a[i], a[j]) and np.array_equal(a, a.T)
         with pytest.raises(SingularMatrixError):
             solve(a, rng.uniform(-1, 1, size=(n, 1)))
 
 
 def test_solve_roundtrip_random_systems():
-    # solve(a, a @ x0) must recover x0 componentwise to 1e-8 relative
+    # solve(a, a @ x0) must recover x0 componentwise to 1e-8 relative on the
+    # positive definite normal equations that the LSM fit solves
     rng = np.random.default_rng(19)
     trials = 0
     while trials < 200:
-        n = int(rng.integers(2, 9))
-        a = rng.uniform(-1, 1, size=(n, n))
+        d = int(rng.integers(1, 5))
+        a = normal_equations(rng, int(rng.integers(2 * d + 1, 40)), d)
         if np.linalg.cond(a) > 1e6:  # skip the rare near-singular draw
             continue
-        x0 = rng.uniform(-10, 10, size=(n, 1))
-        x = solve(a, a @ x0)
+        x0 = rng.uniform(-10, 10, size=(len(a), 1))
+        x = solve(a.copy(), a @ x0)
         assert np.all(np.abs(x - x0) <= 1e-8 * (1.0 + np.abs(x0)))
         trials += 1
 
 
 def test_solve_shape_validation():
-    for solver in (solve, solve_symmetric):
-        with pytest.raises(ValueError):
-            solver(np.ones((2, 3)), np.ones((2, 1)))
-        with pytest.raises(ValueError):
-            solver(np.eye(2), np.ones((3, 1)))
+    with pytest.raises(ValueError):
+        solve(np.ones((2, 3)), np.ones((2, 1)))
+    with pytest.raises(ValueError):
+        solve(np.eye(2), np.ones((3, 1)))
 
 
 def test_solve_multiple_right_hand_sides():
     rng = np.random.default_rng(5)
-    a = rng.uniform(-1, 1, size=(4, 4)) + 4.0 * np.eye(4)
+    a = rng.uniform(-1, 1, size=(4, 4))
+    a = a + a.T + 4.0 * np.eye(4)
     b = rng.uniform(-1, 1, size=(4, 3))
-    x = solve(a, b)
+    x = solve(a.copy(), b)
     assert np.allclose(a @ x, b, atol=1e-10)
-
-
-def reference_is_singular(a):
-    """solve's singularity test, with the pivot rows traced by a swap loop."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    perm = np.arange(a.shape[0])
-    for k, p in enumerate(piv):
-        perm[k], perm[p] = perm[p], perm[k]
-    row_scale = np.max(np.abs(a), axis=1)
-    pivots = np.abs(np.diag(lu))
-    return not np.all(np.isfinite(lu)) or bool(np.any(pivots < SINGULARITY_TOL * row_scale[perm]))
-
-
-def test_solve_threshold_uses_the_pivot_rows_own_scale():
-    # The tiny row is pivoted second. At its own scale it is independent of
-    # the other row in the first matrix and nearly parallel to it in the second.
-    tiny = 1e-20
-    independent = np.array([[tiny, 2.0 * tiny], [1.0, 0.0]])
-    x = solve(independent, np.array([[3.0 * tiny], [1.0]]))
-    assert np.allclose(x, [[1.0], [1.0]], rtol=1e-12)
-    nearly_parallel = np.array([[tiny, tiny * (1.0 + 1e-15)], [1.0, 1.0]])
-    with pytest.raises(SingularMatrixError):
-        solve(nearly_parallel, np.ones((2, 1)))
-
-
-def test_solve_singularity_matches_swap_loop_reference():
-    # rows of very different scales, some nearly dependent on the others
-    rng = np.random.default_rng(23)
-    outcomes = set()
-    for _ in range(200):
-        n = int(rng.integers(2, 12))
-        a = rng.uniform(-1, 1, size=(n, n))
-        if rng.random() < 0.7:
-            k = int(rng.integers(0, n))
-            others = [i for i in range(n) if i != k]
-            noise = rng.normal(scale=10.0 ** rng.uniform(-16, -9), size=n)
-            a[k] = rng.uniform(-1, 1, size=n - 1) @ a[others] + noise
-        a *= 10.0 ** rng.uniform(-18, 0, size=(n, 1))
-        expected = reference_is_singular(a)
-        try:
-            solve(a, np.ones((n, 1)))
-            singular = False
-        except SingularMatrixError:
-            singular = True
-        assert singular == expected
-        outcomes.add(singular)
-    assert outcomes == {True, False}
-
-
-# ------------------------------------------------------------ solve_symmetric
 
 
 def random_symmetric(rng, n, zero_diagonal):
@@ -168,7 +126,7 @@ def two_by_two_blocks(a):
 
 
 def test_solve_symmetric_roundtrip_indefinite_systems():
-    # solve_symmetric(a, a @ x0) must recover x0 componentwise to 1e-8 relative;
+    # solve(a, a @ x0) must recover x0 componentwise to 1e-8 relative;
     # zero diagonals force 2x2 pivot blocks
     rng = np.random.default_rng(29)
     trials = blocks = 0
@@ -179,7 +137,7 @@ def test_solve_symmetric_roundtrip_indefinite_systems():
             continue
         blocks += two_by_two_blocks(a)
         x0 = rng.uniform(-10, 10, size=(n, 2))
-        x = solve_symmetric(a.copy(), a @ x0)
+        x = solve(a.copy(), a @ x0)
         assert np.all(np.abs(x - x0) <= 1e-8 * (1.0 + np.abs(x0)))
         trials += 1
     assert blocks > 100
@@ -190,7 +148,7 @@ def test_solve_symmetric_factors_in_place():
     a = random_symmetric(rng, 6, zero_diagonal=True)
     for order in ("C", "F"):
         work = np.array(a, order=order)
-        solve_symmetric(work, np.ones((6, 1)))
+        solve(work, np.ones((6, 1)))
         assert not np.array_equal(work, a)  # the factor went into work, not into a copy
 
 
@@ -204,7 +162,7 @@ def test_solve_symmetric_identical_rows_always_singular():
         a[i, i] = a[i, j] = a[j, i] = a[j, j]
         assert np.array_equal(a[i], a[j]) and np.array_equal(a, a.T)
         with pytest.raises(SingularMatrixError):
-            solve_symmetric(a, rng.uniform(-1, 1, size=(n, 1)))
+            solve(a, rng.uniform(-1, 1, size=(n, 1)))
 
 
 def test_solve_symmetric_zero_row_nan_entry_and_small_pivot():
@@ -213,13 +171,13 @@ def test_solve_symmetric_zero_row_nan_entry_and_small_pivot():
     zero_row = a.copy()
     zero_row[2], zero_row[:, 2] = 0.0, 0.0
     with pytest.raises(SingularMatrixError, match="all-zero row"):
-        solve_symmetric(zero_row, np.ones((5, 1)))
+        solve(zero_row, np.ones((5, 1)))
     with_nan = a.copy()
     with_nan[1, 3] = with_nan[3, 1] = np.nan
     with pytest.raises(SingularMatrixError):
-        solve_symmetric(with_nan, np.ones((5, 1)))
+        solve(with_nan, np.ones((5, 1)))
     with pytest.raises(SingularMatrixError):  # two 1x1 pivots, the second 1e-15
-        solve_symmetric(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.ones((2, 1)))
+        solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.ones((2, 1)))
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-14, 1e-3])
@@ -237,11 +195,11 @@ def test_solve_symmetric_two_by_two_block_of_a_singular_system(eps):
     else:
         assert info == 0 and ipiv[0] == ipiv[1] < 0
     if eps == 1e-3:
-        x = solve_symmetric(a.copy(), a @ np.arange(1.0, 5.0).reshape(4, 1))
+        x = solve(a.copy(), a @ np.arange(1.0, 5.0).reshape(4, 1))
         assert np.allclose(x.ravel(), [1.0, 2.0, 3.0, 4.0], rtol=1e-9)
     else:
         with pytest.raises(SingularMatrixError):
-            solve_symmetric(a, np.ones((4, 1)))
+            solve(a, np.ones((4, 1)))
 
 
 def test_solve_symmetric_judges_a_block_by_its_larger_row_scale():
@@ -253,11 +211,11 @@ def test_solve_symmetric_judges_a_block_by_its_larger_row_scale():
     a[0] *= 1e-3
     a[:, 0] *= 1e-3
     with pytest.raises(SingularMatrixError):
-        solve_symmetric(a, np.ones((4, 1)))
+        solve(a, np.ones((4, 1)))
 
 
 def reference_is_singular_symmetric(a):
-    """solve_symmetric's singularity test, read from scipy.linalg.ldl's D and permutation."""
+    """solve's singularity test, read from scipy.linalg.ldl's D and permutation."""
     _, d, perm = scipy.linalg.ldl(a, lower=False)
     row_scale = np.max(np.abs(a), axis=1)[perm]
     if not np.all(np.isfinite(d)):
@@ -293,7 +251,7 @@ def test_solve_symmetric_singularity_matches_ldl_reference():
         a = scale[:, None] * a * scale[None, :]
         expected = reference_is_singular_symmetric(a)
         try:
-            solve_symmetric(a.copy(), np.ones((n, 1)))
+            solve(a.copy(), np.ones((n, 1)))
             singular = False
         except SingularMatrixError:
             singular = True
