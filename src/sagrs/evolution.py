@@ -129,7 +129,7 @@ def step_generation(
     score_population(pop, fitness)
 
     scores = pop.scores
-    order = np.argsort(scores, kind="stable")
+    order = scores.argsort(kind="stable")
     m = survivor_count(cfg.selection_factor, n)
 
     # take is fancy indexing without its overhead, a copy of the same values
@@ -157,7 +157,7 @@ def step_generation(
 
     next_scores = scores.take(rows)
     next_scores[refreshed] = np.nan
-    # np.clip, not np.maximum and np.minimum: at a bound of zero they can
+    # clip, not np.maximum and np.minimum: at a bound of zero they can
     # disagree with it on the sign of a zero coordinate
-    np.clip(next_inds, obj.lower, obj.upper, out=next_inds)
+    next_inds.clip(obj.lower, obj.upper, out=next_inds)
     return Population(individuals=next_inds, scores=next_scores, scored=~refreshed)

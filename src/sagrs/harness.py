@@ -475,8 +475,13 @@ def run_compare(objective: str, cycles: int | None = None, out_dir: Path | None 
     out takes the field's default, and so does cycles, a single count here.
     The cap is the largest budget any recommender configuration uses,
     pool_size + cycles * suggestions; ``true_evals`` in runs.csv is what a GA
-    run spent. Bad settings raise ValueError before the first run starts.
+    run spent. Bad settings raise ValueError before the first run starts,
+    and so does a field that the presets set: system, rates, suggestions or
+    pool_handling.
     """
+    preset_fields = [name for name in ("system", "rates", "suggestions", "pool_handling") if name in shared]
+    if preset_fields:
+        raise ValueError(f"run_compare sets {', '.join(preset_fields)} itself; leave them out")
     objectives.make_objective(objective)  # an unknown name is a ValueError before the preset lookup
     if cycles is not None:
         shared["cycles"] = (cycles,)

@@ -25,20 +25,18 @@ SCHWEFEL_OFFSET = 418.98288727243369
 
 def bohachevsky(x: np.ndarray) -> float:
     a, b = x[:-1], x[1:]
-    return float(
-        np.sum(a**2 + 2.0 * b**2 - 0.3 * np.cos(3.0 * np.pi * a) - 0.4 * np.cos(4.0 * np.pi * b) + 0.7)
-    )
+    return float((a**2 + 2.0 * b**2 - 0.3 * np.cos(3.0 * np.pi * a) - 0.4 * np.cos(4.0 * np.pi * b) + 0.7).sum())
 
 
 def ackley(x: np.ndarray) -> float:
     d = x.size
-    term1 = -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x) / d))
-    term2 = -np.exp(np.sum(np.cos(2.0 * np.pi * x)) / d)
+    term1 = -20.0 * np.exp(-0.2 * np.sqrt((x * x).sum() / d))
+    term2 = -np.exp(np.cos(2.0 * np.pi * x).sum() / d)
     return float(term1 + term2 + 20.0 + np.e)
 
 
 def schwefel(x: np.ndarray) -> float:
-    return float(SCHWEFEL_OFFSET * x.size - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+    return float(SCHWEFEL_OFFSET * x.size - (x * np.sin(np.sqrt(np.abs(x)))).sum())
 
 
 # name -> (function, lower, upper, minimum dimension)

@@ -128,7 +128,7 @@ def select_suggestions(
     if k < 1:
         raise ValueError("k must be >= 1")
     score_population(pop, model.predict)
-    ranked = pop.individuals.take(np.argsort(pop.scores, kind="stable"), axis=0)
+    ranked = pop.individuals.take(pop.scores.argsort(kind="stable"), axis=0)
     return _admissible_rows(ranked, pool, k, obj, rng)
 
 

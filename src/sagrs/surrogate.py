@@ -207,27 +207,14 @@ def first_distinct(points: np.ndarray, clear: np.ndarray) -> np.ndarray:
     EXCLUSION_EPSILON from every earlier kept row, by the ``cdist`` distance
     that ``min_distance`` uses. Rows are compared in chunks of
     DISTINCT_CHUNK_ROWS, so memory grows with k, not k^2.
-
-    A chunk whose near pairs are all exact copies (the GA's clones) is
-    decided in one step: equality is transitive, so a row is dropped iff an
-    earlier copy is kept (before the chunk) or clear (within it, where that
-    copy is either kept or dropped for a still earlier copy). Only a chunk
-    holding a near but unequal pair decides its rows one at a time.
     """
     keep = np.array(clear, dtype=bool)
     for start in range(0, len(points), DISTINCT_CHUNK_ROWS):
         stop = min(start + DISTINCT_CHUNK_ROWS, len(points))
-        close = cdist(points[start:stop], points[:stop]) <= EXCLUSION_EPSILON
-        rows, cols = np.nonzero(close)
-        rows += start
-        earlier = cols < rows  # a row looks back only at the rows before it
-        rows, cols = rows[earlier], cols[earlier]
-        if (points.take(rows, axis=0) == points.take(cols, axis=0)).all():
-            keep[rows[keep[cols]]] = False
-            continue
-        close = np.tril(close, start - 1)
+        # a row looks back only at the rows before it
+        close = np.tril(cdist(points[start:stop], points[:stop]) <= EXCLUSION_EPSILON, start - 1)
         for r in np.flatnonzero(keep[start:stop] & close.any(axis=1)):
-            keep[start + r] = not np.any(close[r] & keep[:stop])
+            keep[start + r] = not (close[r] & keep[:stop]).any()
     return keep
 
 

@@ -105,6 +105,19 @@ def test_stats_subcommand_prints_summary_json(tmp_path, capsys):
     assert stats["min"] <= stats["median"] <= stats["max"]
 
 
+@pytest.mark.parametrize("argv", [
+    # the ga rows leave convergence_cycle and acceptance_rate empty
+    ["compare", "--objective", "schwefel", "--reps", "2", "--cycles", "2", "--pool-size", "8", "--ga-pop", "10"],
+    ["run", "--objective", "ackley", "--system", "ga", "--rate", "1", "2", "--reps", "2", "--cycles", "2",
+     "--pool-size", "8", "--ga-pop", "10"],
+])
+def test_stats_reproduces_summary_json(tmp_path, capsys, argv):
+    assert cli_main([*argv, "--seed", "3", "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert cli_main(["stats", str(tmp_path / "out" / "runs.csv")]) == 0
+    assert capsys.readouterr().out == (tmp_path / "out" / "summary.json").read_text()
+
+
 def test_stats_missing_file(tmp_path, capsys):
     assert cli_main(["stats", str(tmp_path / "nope.csv")]) == 2
     assert capsys.readouterr().err == f"cannot read {tmp_path / 'nope.csv'}: No such file or directory\n"

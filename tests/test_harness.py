@@ -361,6 +361,13 @@ def test_run_compare_unknown_objective_is_value_error(tmp_path):
     assert not (tmp_path / "cmp").exists()
 
 
+@pytest.mark.parametrize("field", ["system", "rates", "suggestions", "pool_handling"])
+def test_run_compare_rejects_the_fields_its_presets_set(tmp_path, field):
+    with pytest.raises(ValueError, match=f"run_compare sets {field} itself"):
+        run_compare("ackley", out_dir=tmp_path / "cmp", **{field: None})
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_median_best_fitness_skips_failed_runs():
     rows = [{"best_fitness": None}, {"best_fitness": 1.0}, {"best_fitness": 2.0}]
     comparison = ComparisonResult(rows_by_system={"ga": rows}, ga_budget=0, result=None)
