@@ -30,7 +30,7 @@ import scipy.linalg
 from . import __version__, objectives
 from .baselines import run_ga_baseline, run_random_recommender, shape_ga
 from .evolution import GA_RNG_LAYOUT, GaConfig, is_int
-from .linalg import SINGULARITY_TOL
+from .linalg import PANEL, SINGULARITY_TOL
 from .objectives import make_objective
 from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
 from .surrogate import RBF_RIDGE_FACTOR
@@ -380,6 +380,7 @@ def _metadata(specs: list[dict], blas_threads: int | str) -> dict:
         "linear_solves": "Bunch-Kaufman symmetric-indefinite LDL^T (LAPACK dsytrf/dsytrs) for the LSM "
                          "normal equations and the plain and ridged RBF systems",
         "singularity_tol": SINGULARITY_TOL,
+        "bunch_kaufman_panel": PANEL,
         "ga_operators": {
             "selection": "truncation; mating pool = ceil(selection_factor * population)",
             "recombination": "per-coordinate arithmetic blend with uniform weights",

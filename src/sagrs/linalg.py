@@ -6,8 +6,8 @@ matrix exactly singular) and regularize. Every system they solve is
 symmetric: the LSM normal equations X^T X and the RBF activation matrix,
 plain or ridged. So there is one solve, ``solve``, by the Bunch-Kaufman
 factorization L D L^T with 1x1 and 2x2 pivot blocks (LAPACK
-``dsytrf``/``dsytrs``), which checks its pivots against the scale of the
-rows they came from.
+``dsytrf``/``dsytrs``, in panels of ``PANEL`` columns), which checks its
+pivots against the scale of the rows they came from.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ import scipy.linalg.lapack as lapack
 
 # A pivot below this fraction of the matrix row scale is treated as zero.
 SINGULARITY_TOL = 1e-12
+
+# Columns per dsytrf panel. LAPACK's workspace query asks for 64, whose
+# level-2 panel work is slower at the RBF systems' n = 100-900. Systems of
+# n <= 64 are factored unblocked either way.
+PANEL = 32
 
 
 class SingularMatrixError(ValueError):
@@ -55,8 +60,7 @@ def solve(a, b) -> np.ndarray:
     if np.any(row_scale == 0.0):
         raise SingularMatrixError("matrix has an all-zero row")
 
-    lwork = int(lapack.dsytrf_lwork(n)[0])
-    ldu, ipiv, info = lapack.dsytrf(a.T if a.flags.c_contiguous else a, lwork=lwork, overwrite_a=True)
+    ldu, ipiv, info = lapack.dsytrf(a.T if a.flags.c_contiguous else a, lwork=PANEL * n, overwrite_a=True)
     if info > 0 or not np.all(np.isfinite(ldu)):
         raise SingularMatrixError("matrix is singular or near-singular")
 

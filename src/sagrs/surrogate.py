@@ -275,7 +275,8 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
     pts = pool.points()
     dists = pdist(pts)
     sigma = float(np.mean(dists))  # mean pairwise distance
-    phi = squareform(gaussian_bump(dists, sigma))  # bump(0) = 0 on the diagonal
+    bump = gaussian_bump(dists, sigma)  # the condensed upper triangle of phi
+    phi = squareform(bump)  # bump(0) = 0 on the diagonal
     targets = pool.fitnesses().reshape(n, 1)
     if not pool.needs_ridge:
         try:
@@ -285,8 +286,9 @@ def fit_rbf(pool: EvaluatedPool) -> RbfModel:
         else:
             return RbfModel(centers=pts, weights=weights.ravel(), sigma=sigma)
     # phi has a zero diagonal, so scale the ridge by the mean row mass
-    # instead of the trace; every entry is >= 0, so no abs is needed.
-    ridge = RBF_RIDGE_FACTOR * float(np.sum(phi)) / n
+    # instead of the trace; every entry is >= 0, so no abs is needed. Each
+    # off-diagonal entry sits twice in phi and once in bump.
+    ridge = RBF_RIDGE_FACTOR * (2.0 * float(np.sum(bump))) / n
     phi[np.diag_indices(n)] += ridge
     try:
         weights = solve(phi, targets)  # factored in place; phi is not used again

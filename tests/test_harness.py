@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError, asdict, fields
 import numpy as np
 import pytest
 
-from sagrs import harness
+from sagrs import harness, linalg
 from sagrs.evolution import GaConfig
 from sagrs.harness import (
     CYCLE_CSV_COLUMNS,
@@ -27,7 +27,7 @@ from sagrs.harness import (
     run_experiment,
     summarize,
 )
-from sagrs.linalg import SINGULARITY_TOL
+from sagrs.linalg import PANEL, SINGULARITY_TOL
 from sagrs.recommender import SagrsConfig
 from sagrs.surrogate import EXCLUSION_EPSILON, RBF_RIDGE_FACTOR
 
@@ -298,6 +298,15 @@ def test_compare_rerun_in_parallel_matches_bytes(tmp_path):
         assert (tmp_path / "serial" / fname).read_bytes() == (tmp_path / "parallel" / fname).read_bytes()
 
 
+def test_compare_bytes_do_not_depend_on_the_factorization_panel(tmp_path, monkeypatch):
+    # the compare-ackley-c10 digest settings: its RBF systems (n >= 100) are factored in panels
+    run_compare("ackley", base_seed=11, repetitions=2, cycles=10, out_dir=tmp_path / "p32", jobs=1)
+    monkeypatch.setattr(linalg, "PANEL", 64)  # LAPACK's own block; jobs=1 runs in-process, where the patch holds
+    run_compare("ackley", base_seed=11, repetitions=2, cycles=10, out_dir=tmp_path / "p64", jobs=1)
+    for fname in ("runs.csv", "cycles.csv", "summary.json"):
+        assert (tmp_path / "p32" / fname).read_bytes() == (tmp_path / "p64" / fname).read_bytes()
+
+
 def test_compare_runs_csv_round_trips(tmp_path):
     comparison = run_compare("ackley", repetitions=1, cycles=2, pool_size=8, base_seed=3,
                              ga=GaConfig(population_size=10), out_dir=tmp_path / "cmp")
@@ -389,6 +398,7 @@ def test_metadata_records_library_versions(tmp_path, monkeypatch):
     assert all(isinstance(core, str) and core for core in versions["openblas_core"].values())
     assert metadata["rbf_ridge_factor"] == RBF_RIDGE_FACTOR
     assert metadata["singularity_tol"] == SINGULARITY_TOL  # it decides when an RBF fit takes the ridge
+    assert metadata["bunch_kaufman_panel"] == PANEL  # the fit's bits depend on it above n = 64
     monkeypatch.setattr(harness, "_openblas", lambda *args: {})  # no such symbol
     assert harness._openblas_cores() == {"numpy": "unknown", "scipy": "unknown"}
 

@@ -51,6 +51,18 @@ def test_solve_diagonal():
     assert np.allclose(solve(a, b), np.array([[1.0], [2.0]]), atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [40, 100, 300])
+def test_solve_factors_in_32_column_panels(n):
+    # LAPACK's workspace query gives a 64-column panel, whose bits differ from n = 65 on
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    a += a.T
+    b = rng.standard_normal((n, 1))
+    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(a.T, lwork=32 * n)
+    assert info == 0
+    assert np.array_equal(solve(a.copy(), b), scipy.linalg.lapack.dsytrs(ldu, ipiv, b)[0])
+
+
 def test_solve_rank_deficient():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularMatrixError):
