@@ -29,9 +29,17 @@ GA_RNG_LAYOUT = (
 )
 
 
-def is_int(value) -> bool:
-    """Whether a count from a config file, which can hold any JSON value, is an int and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def check_counts(owner, **minimums) -> None:
+    """Check that each named field of owner is an int, not a bool, and at least its minimum.
+
+    A minimum of None takes any int. A config file can hold any JSON value where a count belongs.
+    """
+    for name, minimum in minimums.items():
+        value = getattr(owner, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -44,15 +52,11 @@ class GaConfig:
     elitism: int = 1
 
     def __post_init__(self):
-        for name in ("population_size", "elitism"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_counts(self, population_size=2, elitism=None)
         for name in ("selection_factor", "mutation_prob", "recombination_prob", "mutation_scale"):
             rate = getattr(self, name)
             if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not math.isfinite(rate):
                 raise ValueError(f"{name} must be a finite number, got {rate!r}")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
         if not 0.0 < self.selection_factor <= 1.0:
             raise ValueError("selection_factor must be in (0, 1]")
         for name in ("mutation_prob", "recombination_prob"):

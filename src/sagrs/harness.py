@@ -29,7 +29,7 @@ import scipy.linalg
 
 from . import __version__, objectives
 from .baselines import run_ga_baseline, run_random_recommender, shape_ga
-from .evolution import GA_RNG_LAYOUT, GaConfig, is_int
+from .evolution import GA_RNG_LAYOUT, GaConfig, check_counts
 from .linalg import PANEL, SINGULARITY_TOL
 from .objectives import make_objective
 from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
@@ -149,23 +149,19 @@ class ExperimentSpec:
             if not values:
                 raise ValueError(f"sweep axis {axis_name} must be nonempty")
             for i, value in enumerate(values):  # a repeat would run the same runs twice
-                if value in values[:i]:
+                # True and 1.0 equal 1 but are no repeat of it: the config check rejects them by name
+                if any(value == v and type(value) is type(v) for v in values[:i]):
                     raise ValueError(f"sweep axis {axis_name} repeats {value!r}")
             object.__setattr__(self, axis_name, tuple(values))
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         # A config file bypasses argparse's types and choices, so check them here.
-        for name in ("dimension", "pool_size", "repetitions", "base_seed", "jobs"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_counts(self, dimension=None, repetitions=1, pool_size=1, base_seed=None, jobs=1)
         if not isinstance(self.ga, GaConfig):
             raise ValueError(f"ga must be a GaConfig, got {self.ga!r}; set it through the ga_* config keys")
         if self.system not in SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}; choose from {SYSTEMS}")
-        for name in ("repetitions", "pool_size", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         # checks each grid point's SagrsConfig; the spec is frozen, so its jobs cannot go stale,
         # and they are not a field, so asdict and metadata.json leave them out
         object.__setattr__(self, "_jobs", _build_jobs(self))

@@ -92,7 +92,7 @@ def make_objective(name: str, dimension: int = 2) -> Objective:
     """Look up a benchmark by name and instantiate it on its standard domain."""
     try:
         fn, lo, hi, min_dim = _REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a config file's list or object, which cannot be a key
         raise ValueError(f"unknown objective {name!r}; choose from {OBJECTIVE_NAMES}") from None
     if dimension < min_dim:
         raise ValueError(f"{name} needs dimension >= {min_dim}, got {dimension}")

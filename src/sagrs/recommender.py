@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import GaConfig, Population, init_population, is_int, score_population, step_generation
+from .evolution import GaConfig, Population, check_counts, init_population, score_population, step_generation
 from .objectives import Objective
 from .surrogate import (
     EXCLUSION_EPSILON,
@@ -41,20 +41,10 @@ class SagrsConfig:
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
         # a float or bool count would fail or misrun only after the initial pool's evaluations
-        window = () if self.training_window is None else ("training_window",)
-        for name in ("evaluation_rate", "suggestions_per_cycle", "cycles", "initial_pool_size", *window):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.evaluation_rate < 0:
-            raise ValueError("evaluation_rate must be >= 0")
-        if self.suggestions_per_cycle < 1:
-            raise ValueError("suggestions_per_cycle must be >= 1")
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
+        window = {} if self.training_window is None else {"training_window": 1}
+        check_counts(self, evaluation_rate=0, suggestions_per_cycle=1, cycles=1, initial_pool_size=None, **window)
         if self.pool_handling not in POOL_HANDLING_MODES:
             raise ValueError(f"pool_handling must be one of {POOL_HANDLING_MODES}, got {self.pool_handling!r}")
-        if self.training_window is not None and self.training_window < 1:
-            raise ValueError("training_window must be >= 1 when set")
 
     @property
     def budget(self) -> int:
@@ -63,7 +53,7 @@ class SagrsConfig:
 
     def validate_for(self, obj: Objective) -> None:
         """Check that the initial pool and any training window hold enough items for both surrogates to fit."""
-        floor = max(2 * obj.dimension + 1, 2)
+        floor = 2 * obj.dimension + 1
         for name in ("initial_pool_size", "training_window"):  # an unset window is the whole pool
             value = getattr(self, name)
             if value is not None and value < floor:

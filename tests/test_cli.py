@@ -216,6 +216,10 @@ def test_compare_prints_summary_median(tmp_path, capsys):
                                                   "suggestions_per_cycle must be an integer, got 2.5"),
     (["run", "--config", {"cycles": [True]}], "cycles True, pool_handling 'reset': "
                                               "cycles must be an integer, got True"),
+    (["run", "--config", {"cycles": [True, 1]}], "cycles True, pool_handling 'reset': "
+                                                 "cycles must be an integer, got True"),
+    (["run", "--config", {"objective": ["ackley"]}],
+     "unknown objective ['ackley']; choose from ('ackley', 'bohachevsky', 'schwefel')"),
     (["run", "--config", {"pool_handling": ["sometimes"]}], "pool_handling 'sometimes': pool_handling "
                                                             "must be one of ('reset', 'no_reset')"),
     (["run", "--config", {"ga_population_size": 10.5}], "population_size must be an integer"),
@@ -271,7 +275,8 @@ def test_compare_prints_summary_median(tmp_path, capsys):
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
         "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
         "config-seed-float", "config-jobs-float", "config-pool-size-float", "config-window-float",
-        "config-rates-str", "config-suggestions-float", "config-cycles-bool",
+        "config-rates-str", "config-suggestions-float", "config-cycles-bool", "config-cycles-bool-then-1",
+        "config-objective-list",
         "config-pool-handling-unknown", "config-ga-pop-float", "config-ga-elitism-float",
         "config-ga-dict", "config-ga-null", "config-ga-mutation-scale-nan", "stats-short-row",
         "stats-long-row", "stats-bad-int", "stats-bad-float", "run-rate-negative", "run-pool-size-2",

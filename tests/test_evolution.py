@@ -34,7 +34,10 @@ def test_config_validation():
         GaConfig(mutation_prob=1.5)
     with pytest.raises(ValueError):
         GaConfig(elitism=50, population_size=50)
-    for counts in ({"population_size": 10.5}, {"population_size": True}, {"elitism": 0.5}, {"elitism": False}):
+    with pytest.raises(ValueError, match=r"elitism must be in \[0, population_size 50\), got -1"):
+        GaConfig(elitism=-1)
+    for counts in ({"population_size": 10.5}, {"population_size": True}, {"elitism": 0.5}, {"elitism": False},
+                   {"population_size": None}):
         with pytest.raises(ValueError, match="must be an integer"):
             GaConfig(**counts)
     for rates in ({"mutation_scale": float("nan")}, {"mutation_scale": float("inf")},

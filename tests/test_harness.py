@@ -329,11 +329,15 @@ def test_spec_validation():
         ExperimentSpec(objective="ackley", system="ga", repetitions=0)
     with pytest.raises(ValueError):
         ExperimentSpec(objective="ackley", system="ga", rates=())
+    with pytest.raises(ValueError, match=r"unknown objective \['ackley'\]; choose from"):
+        ExperimentSpec(objective=["ackley"], system="ga")
     # what a config file can hold but argparse's types and choices would reject
     for bad, message in (
         ({"repetitions": True}, "repetitions must be an integer"),
         ({"base_seed": 0.5}, "base_seed must be an integer"),
         ({"training_window": 2.5}, "training_window must be an integer"),
+        ({"jobs": 0}, "jobs must be >= 1"),
+        ({"dimension": None}, "dimension must be an integer, got None"),
         ({"rates": (1, 1.5)}, "ga at rate 1.5, suggestions 4, cycles 100, pool_handling 'reset': "
                               "evaluation_rate must be an integer, got 1.5"),
         ({"pool_handling": ("reset", "sometimes")}, "ga at rate 1, suggestions 4, cycles 100, "
@@ -342,6 +346,8 @@ def test_spec_validation():
         ({"rates": (1, 2, 1)}, "sweep axis rates repeats 1"),
         ({"suggestions": [4, 4]}, "sweep axis suggestions repeats 4"),
         ({"cycles": (10, 20, 20)}, "sweep axis cycles repeats 20"),
+        # True equals 1 but is no count: the config check names it, not the repeat check
+        ({"rates": (1, True)}, "ga at rate True, .*evaluation_rate must be an integer, got True"),
         ({"pool_handling": ("no_reset", "reset", "no_reset")}, "sweep axis pool_handling repeats 'no_reset'"),
         # an axis is a list or a tuple, not a scalar or a string
         ({"cycles": 100}, "sweep axis cycles must be a list of values, got 100"),

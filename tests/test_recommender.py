@@ -64,7 +64,8 @@ def test_config_validation():
         SagrsConfig(pool_handling="sometimes")
     # counts are checked before a run spends true evaluations on its initial pool
     for bad in ({"cycles": 2.5}, {"cycles": True}, {"suggestions_per_cycle": 2.5},
-                {"initial_pool_size": 10.5}, {"training_window": 3.5}, {"evaluation_rate": 1.0}):
+                {"initial_pool_size": 10.5}, {"training_window": 3.5}, {"evaluation_rate": 1.0},
+                {"cycles": None}, {"initial_pool_size": None}):
         [(name, value)] = bad.items()
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             SagrsConfig(**bad)
