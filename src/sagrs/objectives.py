@@ -67,15 +67,12 @@ class Objective:
         if not np.all(self.lower < self.upper):
             raise ValueError("lower bound must be strictly below upper bound")
 
-    def _check_point(self, point) -> np.ndarray:
+    def evaluate(self, point) -> float:
+        """True fitness of a point; lower is better."""
         p = np.asarray(point, dtype=float)
         if p.shape != (self.dimension,):
             raise ValueError(f"point has shape {p.shape}, expected ({self.dimension},)")
-        return p
-
-    def evaluate(self, point) -> float:
-        """True fitness of a point; lower is better."""
-        return self.fn(self._check_point(point))
+        return self.fn(p)
 
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. uniform points over the box, shape (n, dimension)."""

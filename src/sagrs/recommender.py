@@ -156,13 +156,12 @@ def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> Run
 
     The initial pool is true-evaluated up front; every cycle then refits the
     surrogate, optimizes candidates against it, suggests, true-evaluates and
-    re-inserts the suggestions with one pool insert. A failed surrogate fit
-    degrades to a mean predictor for that cycle and is flagged in the cycle
-    record.
+    re-inserts the suggestions with one pool insert. The pool keeps every
+    evaluated point (each was screened first), so its size is the spend. A
+    failed surrogate fit degrades to a mean predictor, flagged per cycle.
     """
     cfg.validate_for(obj)
     pool = draw_initial_pool(obj, cfg.initial_pool_size, rng)
-    evaluations = len(pool)
 
     records: list[CycleRecord] = []
     population: Population | None = None
@@ -178,7 +177,6 @@ def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> Run
 
         points = select_suggestions(population, pool, cfg.suggestions_per_cycle, model, obj, rng)
         fitness = np.array([obj.evaluate(p) for p in points], dtype=float)
-        evaluations += len(points)
         accepted = count_accepted(fitness, pool)
         pool.add(points, fitness)
         records.append(
@@ -197,5 +195,5 @@ def run_sagrs(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> Run
         best_fitness=pool.best_fitness(),
         convergence_cycle=convergence_cycle(records),
         acceptance_rate=acceptance_rate(records),
-        true_evaluations_used=evaluations,
+        true_evaluations_used=len(pool),
     )

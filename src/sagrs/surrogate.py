@@ -111,9 +111,6 @@ class EvaluatedPool:
     def worst_fitness(self) -> float:
         return float(self._fitness.max())
 
-    def mean_fitness(self) -> float:
-        return float(np.mean(self._fitness))
-
     def tail(self, n: int | None) -> "EvaluatedPool":
         """The most recent n >= 1 items as a pool view (None = everything)."""
         if n is not None and n < 1:  # [-0:] is every item, and a negative n would drop the first -n
@@ -315,4 +312,4 @@ def fit_or_fallback(kind: str, pool: EvaluatedPool) -> tuple[MetaModel, bool]:
     try:
         return fit(kind, pool), True
     except SurrogateFitError:
-        return MeanModel(pool.mean_fitness()), False
+        return MeanModel(float(np.mean(pool.fitnesses()))), False

@@ -69,6 +69,8 @@ def test_budgeted_objective_counts_and_caps():
         budgeted.evaluate([9.0, 9.0])
     assert budgeted.used == 3
     assert budgeted.best_fitness == make_objective("bohachevsky").evaluate([0.0, 0.0])
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        BudgetedObjective(make_objective("bohachevsky"), budget=0)
 
 
 def test_ga_baseline_beats_random_sampling_on_sphere():

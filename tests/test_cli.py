@@ -271,6 +271,8 @@ def test_compare_prints_summary_median(tmp_path, capsys):
      "bad.json: Expecting property name enclosed in double quotes: line 1 column 24 (char 23)"),
     (["run", "--config", "{array_config}"], "array.json must hold a JSON object"),
     (["run", "--config", {"out_dir": None}], "out_dir must be a path, got None"),
+    (["compare", "--reps", "1", "--cycles", "2", "--pool-size", "8", "--out", "{out}"], "compare needs --objective"),
+    (["sweep-rates", "--system", "sagrs-lsm", "--out", "{out}"], "sweep-rates needs --objective"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
         "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
@@ -283,7 +285,7 @@ def test_compare_prints_summary_median(tmp_path, capsys):
         "run-ga-budget-2", "config-ga-elitism-over-shaped-pop", "compare-pool-size-2", "run-ga-rate-negative",
         "run-ga-window", "run-window-below-floor", "run-rate-repeated", "run-ga-pool-handling-repeated",
         "run-rate-repeated-flag", "config-cycles-scalar", "config-pool-handling-str", "config-invalid-json",
-        "config-array", "config-out-dir-null"])
+        "config-array", "config-out-dir-null", "compare-no-objective", "sweep-rates-no-objective"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")

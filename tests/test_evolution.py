@@ -46,6 +46,8 @@ def test_config_validation():
                   {"mutation_scale": True}, {"mutation_prob": "0.1"}):
         with pytest.raises(ValueError, match="must be a finite number"):
             GaConfig(**rates)
+    with pytest.raises(ValueError, match="mutation_scale must be >= 0"):
+        GaConfig(mutation_scale=-0.1)
 
 
 def test_init_population_in_domain_and_deterministic():
@@ -121,6 +123,12 @@ def test_clip_keeps_a_coordinate_at_its_bound_as_np_clip_does():
     assert pop.individuals.tobytes() == np.clip(individuals, obj.lower, obj.upper).tobytes()
 
 
+def test_step_generation_rejects_empty_population():
+    obj = make_objective("bohachevsky")
+    with pytest.raises(ValueError, match="population is empty"):
+        step_generation(Population(np.empty((0, 2))), sphere, GaConfig(), obj, np.random.default_rng(0))
+
+
 def test_truncation_survivor_counts():
     assert survivor_count(0.9, 10) == 9
     assert survivor_count(0.9, 50) == 45
@@ -159,7 +167,8 @@ def test_lazy_scoring_never_rescores_cached_individuals():
     for _ in range(8):
         pop = step_generation(pop, counting, cfg, obj, rng)
     score_population(pop, counting)
-    assert len(seen) == len(set(seen))  # no point is ever paid for twice
+    # cached elites and clones are never rescored; at this seed no blend of two equal parents repeats a point
+    assert len(seen) == len(set(seen))
 
 
 def test_generation_keeps_elites_and_clone_scores_and_unscores_the_rest():

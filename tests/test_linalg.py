@@ -112,6 +112,9 @@ def test_solve_shape_validation():
         solve(np.ones((2, 3)), np.ones((2, 1)))
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones((3, 1)))
+    for a, b in ((np.ones(3), np.ones((3, 1))), (np.empty((0, 0)), np.ones((1, 1))), (np.eye(2), np.ones(2))):
+        with pytest.raises(ValueError, match="must be 2-D with at least one row and column"):
+            solve(a, b)
 
 
 def test_solve_multiple_right_hand_sides():

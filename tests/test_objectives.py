@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sagrs.objectives import OBJECTIVE_NAMES, ackley, bohachevsky, make_objective, schwefel
+from sagrs.objectives import OBJECTIVE_NAMES, Objective, ackley, bohachevsky, make_objective, schwefel
 
 SCHWEFEL_OPTIMIZER = 420.9687
 
@@ -66,6 +66,18 @@ def test_evaluate_is_deterministic_bitwise():
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ValueError):
         make_objective("ackley", 2).evaluate([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("dimension, lower, upper, message", [
+    (0, [], [], "dimension must be >= 1"),
+    (2, [0.0], [1.0, 1.0], "bounds must have one entry per coordinate"),
+    (2, [0.0, 0.0], [[1.0, 1.0]], "bounds must have one entry per coordinate"),
+    (2, [0.0, 1.0], [1.0, 1.0], "lower bound must be strictly below upper bound"),
+    (2, [0.0, 2.0], [1.0, 1.0], "lower bound must be strictly below upper bound"),
+], ids=["dimension-0", "lower-short", "upper-2d", "lower-equals-upper", "lower-above-upper"])
+def test_objective_rejects_bad_box(dimension, lower, upper, message):
+    with pytest.raises(ValueError, match=message):
+        Objective(name="box", dimension=dimension, lower=np.array(lower), upper=np.array(upper), fn=bohachevsky)
 
 
 def test_clip_interior_fixed_point():

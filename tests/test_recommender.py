@@ -109,6 +109,8 @@ def test_acceptance_rate_totals():
     assert acceptance_rate(records_from_counts([2], per_cycle=4)) == 0.5
     assert acceptance_rate(records_from_counts([0, 0], per_cycle=3)) == 0.0
     assert acceptance_rate(records_from_counts([4, 4], per_cycle=4)) == 1.0
+    with pytest.raises(ValueError):
+        acceptance_rate([])
 
 
 # ------------------------------------------------------------ suggestion selection
@@ -123,6 +125,8 @@ def test_select_suggestions_takes_lowest_scores():
                                np.random.default_rng(0))
     assert np.array_equal(picks[0], [2.0, 2.0])
     assert np.array_equal(picks[1], [3.0, 3.0])
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        select_suggestions(pop, pool, 0, model, make_objective("bohachevsky"), np.random.default_rng(0))
 
 
 def test_select_suggestions_skips_pool_duplicates():

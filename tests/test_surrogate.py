@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy.spatial.distance import pdist, squareform
 
 import sagrs.surrogate as surrogate_mod
+from sagrs.linalg import SingularMatrixError
 from sagrs.objectives import make_objective
 from sagrs.recommender import SagrsConfig, run_sagrs
 from sagrs.surrogate import (
@@ -426,6 +427,20 @@ def test_tail_view_of_flagged_pool_is_unflagged():
 def test_fit_rbf_single_point_fails():
     with pytest.raises(SurrogateFitError):
         fit_rbf(pool_from([(0.0, 0.0)], [1.0]))
+
+
+def test_fit_rbf_fails_when_the_ridged_system_is_singular_too(monkeypatch):
+    def singular(a, b):
+        raise SingularMatrixError("injected")
+
+    monkeypatch.setattr(surrogate_mod, "solve", singular)
+    pool = pool_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1.0, 2.0, 6.0])
+    with pytest.raises(SurrogateFitError, match="singular even with ridge"):
+        fit_rbf(pool)
+    assert pool.needs_ridge
+    model, ok = fit_or_fallback("rbf", pool)
+    assert not ok
+    assert isinstance(model, MeanModel) and model.mean_fitness == 3.0
 
 
 def test_predict_rbf_far_field_limit():
