@@ -3,8 +3,9 @@
 #
 #   bash scripts/check_installed_cli.sh DIR
 #
-# `sagrs stats` must reproduce summary.json byte for byte, and a rate flag
-# given twice must add to the axis. An --out under a regular file, a negative
+# `sagrs stats` must reproduce summary.json byte for byte, a rate flag given
+# twice must add to the axis, and `sagrs sweep-suggestions` must write one run
+# per preset value of its axis. An --out under a regular file, a negative
 # rate, a repeated rate, a pool too small for the surrogates, a config file's
 # boolean rate and a compare without --objective must exit 2 before any run
 # starts. Any `sagrs` on PATH will do; outside an install, a shim running
@@ -37,6 +38,8 @@ test ! -e "$DIR/repeat"
 sagrs run --objective ackley --system sagrs-lsm --rate 1 --rate 2 --reps 1 --cycles 2 --pool-size 8 --ga-pop 10 \
   --out "$DIR/extend"
 test "$(wc -l < "$DIR/extend/runs.csv")" -eq 3
+sagrs sweep-suggestions --objective ackley --reps 1 --pool-size 8 --ga-pop 10 --out "$DIR/sweep"
+test "$(cut -d, -f6 "$DIR/sweep/runs.csv" | paste -sd' ')" = "suggestions 1 2 3 4 5 6 7 8"
 status=0
 sagrs compare --objective ackley --reps 1 --cycles 2 --pool-size 2 --ga-pop 10 \
   --out "$DIR/pool" || status=$?

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .baselines import (
     BudgetedObjective,
     BudgetExhaustedError,
-    ga_baseline_shape,
     run_ga_baseline,
     run_random_recommender,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "fit_lsm",
     "fit_or_fallback",
     "fit_rbf",
-    "ga_baseline_shape",
     "init_population",
     "make_objective",
     "run_compare",

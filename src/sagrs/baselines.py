@@ -60,18 +60,12 @@ class BudgetedObjective:
         return np.array([self.evaluate(p) for p in points], dtype=float)
 
 
-def ga_baseline_shape(n_eval: int) -> tuple[int, int]:
-    """Population size and generation count for an evaluation budget."""
+def shape_ga(n_eval: int, ga: GaConfig | None = None) -> tuple[GaConfig, int]:
+    """run_ga_baseline's GA and generation count for an n_eval budget; ValueError if none fits it."""
     if n_eval < 4:
         raise ValueError(f"budget must be >= 4 to shape a GA run, got {n_eval}")
     side = math.isqrt(n_eval)
-    return side, side
-
-
-def shape_ga(n_eval: int, ga: GaConfig | None = None) -> tuple[GaConfig, int]:
-    """run_ga_baseline's GA and generation count for an n_eval budget; ValueError if none fits it."""
-    n_pop, n_gen = ga_baseline_shape(n_eval)
-    return replace(ga if ga is not None else GaConfig(), population_size=n_pop), n_gen
+    return replace(ga if ga is not None else GaConfig(), population_size=side), side
 
 
 def run_ga_baseline(

@@ -33,15 +33,12 @@ from .harness import (
 from .objectives import OBJECTIVE_NAMES
 from .recommender import POOL_HANDLING_MODES
 
-SWEEP_RATES = (1, 2, 4, 8, 16, 32, 64)
-SWEEP_SUGGESTIONS = (1, 2, 3, 4, 5, 6, 7, 8)
-SWEEP_CYCLES = (10, 25, 50, 75, 100, 150)
-
-# the grid axes each sweep subcommand fixes
-_SWEEP_AXES = {
-    "sweep-rates": {"rates": SWEEP_RATES, "pool_handling": ("reset", "no_reset")},
-    "sweep-suggestions": {"suggestions": SWEEP_SUGGESTIONS},
-    "sweep-cycles": {"cycles": SWEEP_CYCLES},
+# each sweep subcommand's help text and the grid axes it fixes
+_SWEEPS = {
+    "sweep-rates": ("evaluation rates x pool handling",
+                    {"rates": (1, 2, 4, 8, 16, 32, 64), "pool_handling": ("reset", "no_reset")}),
+    "sweep-suggestions": ("suggestions per cycle", {"suggestions": (1, 2, 3, 4, 5, 6, 7, 8)}),
+    "sweep-cycles": ("recommendation cycle counts", {"cycles": (10, 25, 50, 75, 100, 150)}),
 }
 
 # flat config-file keys for the GA engine
@@ -81,11 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--pool-handling", choices=POOL_HANDLING_MODES, nargs="+", action="extend")
     run_p.add_argument("--window", dest="training_window", type=int, help="surrogate training window")
 
-    for name, helptext in (
-        ("sweep-rates", "evaluation rates x pool handling"),
-        ("sweep-suggestions", "suggestions per cycle"),
-        ("sweep-cycles", "recommendation cycle counts"),
-    ):
+    for name, (helptext, _) in _SWEEPS.items():
         sweep_p = add_command(name, f"preset sweep over {helptext}")
         _add_common_flags(sweep_p)
         sweep_p.add_argument("--system", choices=SYSTEMS, default="sagrs-lsm")
@@ -129,10 +122,10 @@ def _library_kwargs(flags: dict, command: str, parser) -> dict:
         parser.error("run needs --objective and --system (or a config file providing them)")
     if "objective" not in settings:
         parser.error(f"{command} needs --objective")
-    if command in _SWEEP_AXES:
+    if command in _SWEEPS:
         settings.setdefault(
             "out_dir", default_out_dir() / f"{command}_{settings['system']}_{settings['objective']}")
-        settings.update(_SWEEP_AXES[command])
+        settings.update(_SWEEPS[command][1])
     return settings
 
 

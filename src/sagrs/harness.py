@@ -129,16 +129,16 @@ class ExperimentSpec:
     objective: str
     system: str
     dimension: int = 2
-    rates: tuple[int, ...] = (1,)
-    suggestions: tuple[int, ...] = (4,)
-    cycles: tuple[int, ...] = (100,)
-    pool_handling: tuple[str, ...] = ("reset",)
-    pool_size: int = 100
+    rates: tuple[int, ...] = (SagrsConfig.evaluation_rate,)
+    suggestions: tuple[int, ...] = (SagrsConfig.suggestions_per_cycle,)
+    cycles: tuple[int, ...] = (SagrsConfig.cycles,)
+    pool_handling: tuple[str, ...] = (SagrsConfig.pool_handling,)
+    pool_size: int = SagrsConfig.initial_pool_size
     repetitions: int = 10
     base_seed: int = 0
     out_dir: Path = field(default_factory=default_out_dir)
     ga: GaConfig = field(default_factory=GaConfig)
-    training_window: int | None = None
+    training_window: int | None = SagrsConfig.training_window
     jobs: int = field(default_factory=default_jobs)
 
     def __post_init__(self):

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sagrs.baselines import ga_baseline_shape, run_random_recommender
+from sagrs.baselines import run_random_recommender, shape_ga
 from sagrs.evolution import GaConfig
 from sagrs.harness import run_compare
 from sagrs.objectives import OBJECTIVE_NAMES, Objective, make_objective
@@ -143,10 +143,14 @@ def test_criterion_04_exclusion_and_budget_over_full_runs():
 
 
 def test_criterion_05_ga_baseline_shape():
-    exact = ga_baseline_shape(1000) == (31, 31)
-    within = all(ga_baseline_shape(n)[0] ** 2 <= n for n in range(4, 10_001))
+    def shape(n):
+        cfg, n_gen = shape_ga(n)
+        return cfg.population_size, n_gen
+
+    exact = shape(1000) == (31, 31)
+    within = all(shape(n)[0] ** 2 <= n for n in range(4, 10_001))
     ok = exact and within
-    assert report(5, "baseline shape", ok, f"shape(1000)={ga_baseline_shape(1000)}")
+    assert report(5, "baseline shape", ok, f"shape(1000)={shape(1000)}")
 
 
 def test_criterion_06_random_recommender_equivalence():

@@ -5,9 +5,9 @@ import sagrs.baselines
 from sagrs.baselines import (
     BudgetedObjective,
     BudgetExhaustedError,
-    ga_baseline_shape,
     run_ga_baseline,
     run_random_recommender,
+    shape_ga,
 )
 from sagrs.evolution import GaConfig, init_population
 from sagrs.objectives import Objective, make_objective
@@ -42,22 +42,28 @@ def assert_run_results_identical(a, b):
         assert ra.suggested_fitness.tobytes() == rb.suggested_fitness.tobytes()
 
 
+def shape(n_eval):
+    """shape_ga's (population size, generation count) for n_eval."""
+    cfg, n_gen = shape_ga(n_eval)
+    return cfg.population_size, n_gen
+
+
 def test_shape_examples():
-    assert ga_baseline_shape(1000) == (31, 31)
-    assert ga_baseline_shape(900) == (30, 30)
-    assert ga_baseline_shape(4) == (2, 2)
+    assert shape(1000) == (31, 31)
+    assert shape(900) == (30, 30)
+    assert shape(4) == (2, 2)
 
 
 def test_shape_never_over_budget():
     for n_eval in range(4, 10_001):
-        n_pop, n_gen = ga_baseline_shape(n_eval)
+        n_pop, n_gen = shape(n_eval)
         assert n_pop == n_gen
         assert n_pop * n_gen <= n_eval
 
 
 def test_shape_rejects_tiny_budgets():
     with pytest.raises(ValueError):
-        ga_baseline_shape(3)
+        shape_ga(3)
 
 
 def test_budgeted_objective_counts_and_caps():

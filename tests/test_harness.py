@@ -250,6 +250,13 @@ def test_jobs_carry_their_config_and_row_cells(tmp_path):
     assert configs["ga"].budget == 8 + 3 * 2
 
 
+def test_default_spec_runs_the_default_config():
+    # ExperimentSpec's axis, pool and window defaults are SagrsConfig's
+    jobs = harness._build_jobs(ExperimentSpec("ackley", "sagrs-lsm"))
+    assert len(jobs) == 10
+    assert all(job["config"] == SagrsConfig() for job in jobs)
+
+
 def test_each_spec_builds_its_jobs_once(tmp_path, monkeypatch):
     built = []
     original = harness._build_jobs

@@ -372,6 +372,32 @@ def test_flagged_pool_fits_match_fresh_pools_bitwise():
         assert np.array_equal(model.weights, fresh.weights)
 
 
+def test_flagged_pool_factors_once_per_fit(monkeypatch):
+    # The flag is what saves the plain factorization: without it every fit of a
+    # growing pool would factor its singular plain system before the ridged one.
+    sizes = []
+    real_solve = surrogate_mod.solve
+
+    def counting(a, b):
+        sizes.append(len(a))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(surrogate_mod, "solve", counting)
+    obj = make_objective("bohachevsky")
+    rng = np.random.default_rng(1)
+    pts = obj.sample_uniform(rng, 100)
+    pool = pool_from(pts, [obj.evaluate(p) for p in pts])
+    fit_rbf(pool)
+    assert sizes == [100, 100]  # the plain system, then the ridged one
+    assert pool.needs_ridge
+    for size in (108, 116, 124):
+        sizes.clear()
+        pts = obj.sample_uniform(rng, 8)
+        pool.add(pts, [obj.evaluate(p) for p in pts])
+        fit_rbf(pool)
+        assert sizes == [size]
+
+
 @pytest.mark.parametrize("size", [150, 300, 500, 900])
 def test_ridged_fit_matches_lu_reference(size):
     # The ridged system is factored by Bunch-Kaufman; a general LU of the
