@@ -7,8 +7,9 @@
 # twice must add to the axis, and `sagrs sweep-suggestions` must write one run
 # per preset value of its axis. An --out under a regular file, a negative
 # rate, a repeated rate, a pool too small for the surrogates, a config file's
-# boolean rate and a compare without --objective must exit 2 before any run
-# starts. Any `sagrs` on PATH will do; outside an install, a shim running
+# boolean rate, a compare without --objective and a config file's GA elitism
+# above its mating pool must exit 2 before any run starts. Any `sagrs` on
+# PATH will do; outside an install, a shim running
 # `PYTHONPATH=src python -m sagrs.cli "$@"` from the repository root works.
 set -eo pipefail
 
@@ -59,3 +60,12 @@ sagrs compare --reps 1 --cycles 2 --pool-size 8 --out "$DIR/noobj" 2> "$DIR/noob
 test "$status" -eq 2
 grep -F "compare needs --objective" "$DIR/noobj.err"
 test ! -e "$DIR/noobj"
+cat > "$DIR/elitism.json" <<EOF
+{"objective": "ackley", "system": "sagrs-lsm", "ga_population_size": 10, "ga_selection_factor": 0.1,
+ "ga_elitism": 5, "cycles": [2], "pool_size": 8, "repetitions": 1, "out_dir": "$DIR/elitism"}
+EOF
+status=0
+sagrs run --config "$DIR/elitism.json" 2> "$DIR/elitism.err" || status=$?
+test "$status" -eq 2
+grep -F "elitism must be <= the mating pool, ceil(selection_factor * population_size) = 1, got 5" "$DIR/elitism.err"
+test ! -e "$DIR/elitism"

@@ -1,14 +1,5 @@
 """Command-line entry point for running benchmark experiments.
 
-Subcommands:
-
-    run                one experiment from flags or a JSON config file
-    sweep-rates        preset grid over evaluation rates x pool handling
-    sweep-suggestions  preset grid over suggestions per cycle
-    sweep-cycles       preset grid over recommendation-cycle counts
-    compare            all five systems on one objective, the GA capped at their budget
-    stats              re-aggregate an existing runs.csv to JSON on stdout
-
 Exit status: 0 on success, 1 if any run failed, 2 on usage errors.
 """
 
@@ -38,7 +29,7 @@ _SWEEPS = {
     "sweep-rates": ("evaluation rates x pool handling",
                     {"rates": (1, 2, 4, 8, 16, 32, 64), "pool_handling": ("reset", "no_reset")}),
     "sweep-suggestions": ("suggestions per cycle", {"suggestions": (1, 2, 3, 4, 5, 6, 7, 8)}),
-    "sweep-cycles": ("recommendation cycle counts", {"cycles": (10, 25, 50, 75, 100, 150)}),
+    "sweep-cycles": ("recommendation-cycle counts", {"cycles": (10, 25, 50, 75, 100, 150)}),
 }
 
 # flat config-file keys for the GA engine
@@ -67,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         # An unset flag stays out of the namespace, so the library default applies.
         return sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
 
-    run_p = add_command("run", "run one experiment from flags or a config file")
+    run_p = add_command("run", "one experiment from flags or a JSON config file")
     _add_common_flags(run_p)
     run_p.add_argument("--config", type=Path, help="JSON file with flat experiment settings")
     run_p.add_argument("--system", choices=SYSTEMS)
@@ -79,15 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--window", dest="training_window", type=int, help="surrogate training window")
 
     for name, (helptext, _) in _SWEEPS.items():
-        sweep_p = add_command(name, f"preset sweep over {helptext}")
+        sweep_p = add_command(name, f"preset grid over {helptext}")
         _add_common_flags(sweep_p)
         sweep_p.add_argument("--system", choices=SYSTEMS, default="sagrs-lsm")
 
-    compare_p = add_command("compare", "all five systems on one objective")
+    compare_p = add_command("compare", "all five systems on one objective, the GA capped at their budget")
     _add_common_flags(compare_p)
     compare_p.add_argument("--cycles", type=int)
 
-    stats_p = sub.add_parser("stats", help="aggregate an existing runs.csv")
+    stats_p = sub.add_parser("stats", help="re-aggregate an existing runs.csv to JSON on stdout")
     stats_p.add_argument("csv", type=Path)
 
     # cli_main reports a library error through the parser of the command
@@ -98,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _library_kwargs(flags: dict, command: str, parser) -> dict:
+def _library_kwargs(flags: dict, command: str) -> dict:
     """Keyword arguments for ExperimentSpec or run_compare.
 
     Only the flags the user set are passed, over the config file's settings
@@ -119,9 +110,9 @@ def _library_kwargs(flags: dict, command: str, parser) -> dict:
     if ga_kwargs:  # a config file's own "ga" key stays, for ExperimentSpec to reject
         settings.setdefault("ga", GaConfig(**ga_kwargs))
     if command == "run" and not {"objective", "system"} <= settings.keys():
-        parser.error("run needs --objective and --system (or a config file providing them)")
+        raise ValueError("run needs --objective and --system (or a config file providing them)")
     if "objective" not in settings:
-        parser.error(f"{command} needs --objective")
+        raise ValueError(f"{command} needs --objective")
     if command in _SWEEPS:
         settings.setdefault(
             "out_dir", default_out_dir() / f"{command}_{settings['system']}_{settings['objective']}")
@@ -149,7 +140,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        kwargs = _library_kwargs(flags, command, parser)
+        kwargs = _library_kwargs(flags, command)
         spec = None if command == "compare" else ExperimentSpec(**kwargs)
     except (OSError, TypeError, ValueError) as exc:
         parser.error(str(exc))

@@ -67,6 +67,11 @@ class GaConfig:
             raise ValueError("mutation_scale must be >= 0")
         if not 0 <= self.elitism < self.population_size:
             raise ValueError(f"elitism must be in [0, population_size {self.population_size}), got {self.elitism}")
+        # step_generation carries the elites from the mating pool; slots past it are refilled
+        mating_pool = survivor_count(self.selection_factor, self.population_size)
+        if self.elitism > mating_pool:
+            raise ValueError(f"elitism must be <= the mating pool, ceil(selection_factor * population_size) = "
+                             f"{mating_pool}, got {self.elitism}")
 
 
 @dataclass(eq=False)
@@ -122,9 +127,7 @@ def step_generation(
     per individual -> clip to bounds, with the elitism best carried through
     untouched at the front.
 
-    Each kind of random value is drawn as one block, in this order (see
-    ``GA_RNG_LAYOUT``): parent pairs, recombine flags, blend weights of the
-    recombined rows, mutate flags, noise of the mutated rows.
+    The random draws follow ``GA_RNG_LAYOUT``, which metadata.json records.
     """
     if len(pop) == 0:
         raise ValueError("population is empty")

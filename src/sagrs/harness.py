@@ -386,9 +386,7 @@ def _metadata(specs: list[dict], blas_threads: int | str) -> dict:
         "ga_rng_layout": GA_RNG_LAYOUT,
         "ga_budget_accounting": "capped at the ga spec's pool_size + cycles * suggestions; lazy scoring; "
                                 "cached individuals (elites, clones) are never re-evaluated",
-        "ga_baseline_inert_columns": "rate and pool_handling are empty for the ga system; "
-                                     "cycles, suggestions and pool_size set its evaluation budget",
-        "random_recommender": "evaluation rate forced to 0 and pool handling to reset",
+        "systems": {name: {"model_kind": row.model_kind, "cells": row.cells} for name, row in _SYSTEMS.items()},
         "objective_domains": {name: [lo, hi] for name, (_, lo, hi, _) in objectives._REGISTRY.items()},
         "exclusion_epsilon": EXCLUSION_EPSILON,
         "specs": specs,

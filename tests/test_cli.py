@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from sagrs import harness
-from sagrs.cli import cli_main
+from sagrs.cli import build_parser, cli_main
 from sagrs.harness import RUN_CSV_COLUMNS, read_runs_csv
 
 TINY = ["--pool-size", "8", "--reps", "2", "--ga-pop", "10",
@@ -28,6 +29,22 @@ def test_run_missing_objective_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli_main(["run", "--system", "sagrs-lsm"])
     assert excinfo.value.code == 2
+
+
+def test_help_describes_each_subcommand_once():
+    parser = build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = [choice.dest for choice in subcommands._choices_actions]
+    assert names == list(subcommands.choices)
+
+    def listed(text, name):  # the lines of text that begin with name
+        return sum(line.split()[:1] == [name] for line in text.splitlines())
+
+    assert not any(listed(parser.description, name) for name in names)
+    text = " ".join(parser.format_help().split())  # help wraps with the terminal width
+    for choice in subcommands._choices_actions:
+        assert listed(parser.format_help(), choice.dest) == 1
+        assert text.count(" ".join(choice.help.split())) == 1
 
 
 def test_unknown_system_is_usage_error():
@@ -273,6 +290,9 @@ def test_compare_prints_summary_median(tmp_path, capsys):
     (["run", "--config", {"out_dir": None}], "out_dir must be a path, got None"),
     (["compare", "--reps", "1", "--cycles", "2", "--pool-size", "8", "--out", "{out}"], "compare needs --objective"),
     (["sweep-rates", "--system", "sagrs-lsm", "--out", "{out}"], "sweep-rates needs --objective"),
+    # elites past the mating pool would be refilled, not carried
+    (["run", "--config", {"ga_population_size": 10, "ga_selection_factor": 0.1, "ga_elitism": 5}],
+     "elitism must be <= the mating pool, ceil(selection_factor * population_size) = 1, got 5"),
 ], ids=["ga-pop-0", "dimension-0", "sweep-reps-0", "compare-reps-0", "stats-foreign-csv",
         "compare-cycles-0", "run-cycles-0", "run-suggestions-0", "run-pool-size-negative",
         "compare-pool-size-0", "run-window-0", "config-dimension-float", "config-reps-float",
@@ -285,7 +305,8 @@ def test_compare_prints_summary_median(tmp_path, capsys):
         "run-ga-budget-2", "config-ga-elitism-over-shaped-pop", "compare-pool-size-2", "run-ga-rate-negative",
         "run-ga-window", "run-window-below-floor", "run-rate-repeated", "run-ga-pool-handling-repeated",
         "run-rate-repeated-flag", "config-cycles-scalar", "config-pool-handling-str", "config-invalid-json",
-        "config-array", "config-out-dir-null", "compare-no-objective", "sweep-rates-no-objective"])
+        "config-array", "config-out-dir-null", "compare-no-objective", "sweep-rates-no-objective",
+        "config-ga-elitism-over-mating-pool"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     foreign_csv = tmp_path / "cycles.csv"
     foreign_csv.write_text("run_id,cycle\nx,1\n")

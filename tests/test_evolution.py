@@ -36,6 +36,9 @@ def test_config_validation():
         GaConfig(elitism=50, population_size=50)
     with pytest.raises(ValueError, match=r"elitism must be in \[0, population_size 50\), got -1"):
         GaConfig(elitism=-1)
+    # the elites are carried from the mating pool, here of one survivor
+    with pytest.raises(ValueError, match=r"elitism must be <= the mating pool, .* = 1, got 5"):
+        GaConfig(population_size=10, selection_factor=0.1, elitism=5)
     for counts in ({"population_size": 10.5}, {"population_size": True}, {"elitism": 0.5}, {"elitism": False},
                    {"population_size": None}):
         with pytest.raises(ValueError, match="must be an integer"):

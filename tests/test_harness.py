@@ -412,6 +412,12 @@ def test_metadata_records_library_versions(tmp_path, monkeypatch):
     assert metadata["rbf_ridge_factor"] == RBF_RIDGE_FACTOR
     assert metadata["singularity_tol"] == SINGULARITY_TOL  # it decides when an RBF fit takes the ridge
     assert metadata["bunch_kaufman_panel"] == PANEL  # the fit's bits depend on it above n = 64
+    # each system's surrogate and forced row cells come from its table row, not from prose
+    assert metadata["systems"] == {name: {"model_kind": harness._SYSTEMS[name].model_kind,
+                                          "cells": harness._SYSTEMS[name].cells} for name in SYSTEMS}
+    assert metadata["systems"]["ga"] == {"model_kind": None, "cells": {"rate": None, "pool_handling": None}}
+    assert metadata["systems"]["random-rbf"] == {"model_kind": "rbf", "cells": {"rate": 0, "pool_handling": "reset"}}
+    assert not {"ga_baseline_inert_columns", "random_recommender"} & metadata.keys()
     monkeypatch.setattr(harness, "_openblas", lambda *args: {})  # no such symbol
     assert harness._openblas_cores() == {"numpy": "unknown", "scipy": "unknown"}
 
