@@ -8,9 +8,11 @@
 # per preset value of its axis. An --out under a regular file, a negative
 # rate, a repeated rate, a pool too small for the surrogates, a config file's
 # boolean rate, a compare without --objective and a config file's GA elitism
-# above its mating pool must exit 2 before any run starts. Any `sagrs` on
-# PATH will do; outside an install, a shim running
-# `PYTHONPATH=src python -m sagrs.cli "$@"` from the repository root works.
+# above its mating pool must exit 2 before any run starts. `python`, run in
+# DIR without PYTHONPATH, must import the package's eight top-level names.
+# Any `sagrs` and `python` on PATH will do; outside an install, shims that
+# run the interpreter with PYTHONPATH set to the checkout's absolute `src`
+# path (`-m sagrs.cli "$@"` for `sagrs`, `"$@"` for `python`) work.
 set -eo pipefail
 
 if [ "$#" -ne 1 ]; then
@@ -19,6 +21,8 @@ if [ "$#" -ne 1 ]; then
 fi
 DIR=$1
 
+(cd "$DIR" && env -u PYTHONPATH python -c "from sagrs import GaConfig, OBJECTIVE_NAMES, Objective, SagrsConfig, \
+make_objective, run_ga_baseline, run_random_recommender, run_sagrs")
 sagrs compare --objective ackley --reps 1 --cycles 2 --pool-size 8 --ga-pop 10 --out "$DIR/cli"
 diff <(sagrs stats "$DIR/cli/runs.csv") "$DIR/cli/summary.json"
 touch "$DIR/not-a-dir"

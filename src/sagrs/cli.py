@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_flags(sweep_p)
         sweep_p.add_argument("--system", choices=SYSTEMS, default="sagrs-lsm")
 
-    compare_p = add_command("compare", "all five systems on one objective, the GA capped at their budget")
+    compare_p = add_command("compare", f"all {len(SYSTEMS)} systems on one objective, the GA capped at their budget")
     _add_common_flags(compare_p)
     compare_p.add_argument("--cycles", type=int)
 

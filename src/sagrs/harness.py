@@ -32,8 +32,8 @@ from .baselines import run_ga_baseline, run_random_recommender, shape_ga
 from .evolution import GA_RNG_LAYOUT, GaConfig, check_counts
 from .linalg import PANEL, SINGULARITY_TOL
 from .objectives import make_objective
-from .recommender import EXCLUSION_EPSILON, SagrsConfig, run_sagrs
-from .surrogate import RBF_RIDGE_FACTOR
+from .recommender import SagrsConfig, run_sagrs
+from .surrogate import EXCLUSION_EPSILON, RBF_RIDGE_FACTOR
 
 
 @dataclass(frozen=True)
@@ -430,7 +430,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return _run_specs([spec])
 
 
-# Per-objective settings for the five-system comparison. Rates and pool
+# Per-objective settings for run_compare's systems. Rates and pool
 # handling follow the qualitative tuning notes: a long no-reset optimization
 # suits the globally fitted quadratic on smooth objectives, short
 # optimizations with many suggestions suit the interpolating model, and the
@@ -464,7 +464,7 @@ class ComparisonResult:
 
 def run_compare(objective: str, cycles: int | None = None, out_dir: Path | None = None,
                 **shared) -> ComparisonResult:
-    """Run all five systems on one objective, the plain GA capped at their budget.
+    """Run every system in SYSTEMS on one objective, the plain GA capped at their budget.
 
     shared holds ExperimentSpec fields, passed to each system's spec; one left
     out takes the field's default, and so does cycles, a single count here.

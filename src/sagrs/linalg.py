@@ -38,15 +38,16 @@ def _as_matrix(a, name: str) -> np.ndarray:
 def solve(a, b) -> np.ndarray:
     """Solve a @ x = b for symmetric, possibly indefinite a via Bunch-Kaufman.
 
-    a must be symmetric: only one triangle of it is read. The factorization
-    is written over a when a is a C- or Fortran-ordered float64 array (a
-    symmetric C-ordered array is factored through its transpose), so pass a
-    copy of a matrix that is used again. Raises SingularMatrixError, so
-    callers can fall back or regularize instead of silently consuming
-    garbage, on an all-zero row, an exactly zero pivot, a non-finite factor,
-    and a 1x1 pivot or a 2x2 pivot block's smaller |eigenvalue| below
-    SINGULARITY_TOL times the scale of the original row it came from (its
-    largest |entry|; for a block, the larger scale of its two rows).
+    a must be symmetric and stored whole: dsytrf reads one triangle, but the
+    row scales are taken over every entry. The factorization is written over
+    a when a is a C- or Fortran-ordered float64 array (a symmetric C-ordered
+    array is factored through its transpose), so pass a copy of a matrix
+    that is used again. Raises SingularMatrixError, so callers can fall
+    back or regularize instead of silently consuming garbage, on an
+    all-zero row, an exactly zero pivot, a non-finite factor, and a 1x1
+    pivot or a 2x2 pivot block's smaller |eigenvalue| below SINGULARITY_TOL
+    times the scale of the original row it came from (its largest |entry|;
+    for a block, the larger scale of its two rows).
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")

@@ -16,7 +16,7 @@ import numpy as np
 from .evolution import GaConfig, Population, check_counts, init_population, score_population, step_generation
 from .objectives import Objective
 from .surrogate import (
-    EXCLUSION_EPSILON,
+    EXCLUSION_EPSILON,  # re-exported: perfbench/workloads.py imports it from here
     MODEL_KINDS,
     EvaluatedPool,
     MetaModel,

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion prints one pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criteria 8-11 share three
-full five-system comparisons (10 repetitions each, budget <= 1000 true
-evaluations per run), built once per module.
+full comparisons of every system in SYSTEMS (10 repetitions each, budget
+<= 1000 true evaluations per run), built once per module.
 """
 
 import json

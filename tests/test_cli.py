@@ -5,7 +5,7 @@ import pytest
 
 from sagrs import harness
 from sagrs.cli import build_parser, cli_main
-from sagrs.harness import RUN_CSV_COLUMNS, read_runs_csv
+from sagrs.harness import RUN_CSV_COLUMNS, SYSTEMS, read_runs_csv
 
 TINY = ["--pool-size", "8", "--reps", "2", "--ga-pop", "10",
         "--cycles", "3", "--suggestions", "2", "--seed", "5"]
@@ -159,7 +159,7 @@ def test_compare_preset_row_count(tmp_path):
                      "--out", str(tmp_path / "cmp"), "--reps", "2",
                      "--cycles", "3", "--pool-size", "8", "--ga-pop", "10"]) == 0
     rows = read_runs_csv(tmp_path / "cmp" / "runs.csv")
-    assert len(rows) == 5 * 2  # five systems x reps
+    assert len(rows) == len(SYSTEMS) * 2  # systems x reps
     assert {r["system"] for r in rows} == {"sagrs-lsm", "sagrs-rbf", "ga",
                                            "random-lsm", "random-rbf"}
 

@@ -8,6 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import sagrs
 from sagrs import harness
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -37,3 +38,11 @@ def test_jobs_carry_the_keys_perfbench_reads(tmp_path):
     assert {key: job[key] for key in ("run_id", "pool_size", "cycles", "suggestions")} == {
         "run_id": "sagrs-lsm_ackley_d2_r1_s4_c2_reset_p8_rep00", "pool_size": 8, "cycles": 2, "suggestions": 4,
     }
+
+
+def test_top_level_names_perfbench_reads():
+    # workloads.py imports these three from the top level ...
+    from sagrs import Objective, SagrsConfig, make_objective  # noqa: F401
+
+    # ... and run.py's timed set-up makes every objective through it
+    assert all(isinstance(make_objective(name), Objective) for name in sagrs.OBJECTIVE_NAMES)
