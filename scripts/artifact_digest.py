@@ -20,14 +20,15 @@ line that differs. The reference was written with one OpenBLAS thread
 OpenBLAS kernel. CI runs the commands without ``--check``, and each of them
 must exit 0. It runs them five times, and compares each run's lines with
 the first's:
-- twice with one thread, so a rerun keeps the bytes: all 64 lines;
+- twice with one thread, so a rerun keeps the bytes: every line, four
+  per command;
 - once with the variable unset, because every batch pins one thread
-  itself: all 64 lines;
+  itself: every line;
 - once each under ``OPENBLAS_CORETYPE=Haswell`` and ``=Prescott``, which
   pick other OpenBLAS kernels for that process. The surrogate fits' bits
-  differ between kernels, and the 48 ``runs.csv``, ``cycles.csv`` and
-  ``summary.json`` lines must not; the ``metadata.json`` lines are left
-  out, because they name the kernel.
+  differ between kernels, and the ``runs.csv``, ``cycles.csv`` and
+  ``summary.json`` lines must not: every line but the ``metadata.json``
+  ones, which are left out because they name the kernel.
 The check itself is not part of CI: the reference holds the bytes of one
 build of numpy, scipy and their OpenBLAS, on one CPU, and a different
 version, CPU vendor or architecture was never compared with it.

@@ -31,8 +31,9 @@ class BudgetExhaustedError(RuntimeError):
 class BudgetedObjective:
     """Wraps an objective with a hard cap on true evaluations.
 
-    Tracks how many evaluations were spent and the best value seen, so a run
-    interrupted mid-generation still reports an honest optimum.
+    ``values`` holds every true value paid for, in evaluation order: its
+    length is the spend, and a run interrupted mid-generation still reports
+    an honest optimum from it.
     """
 
     def __init__(self, inner: Objective, budget: int):
@@ -40,15 +41,13 @@ class BudgetedObjective:
             raise ValueError("budget must be >= 1")
         self.inner = inner
         self.budget = budget
-        self.used = 0
-        self.best_fitness = math.inf
+        self.values: list[float] = []
 
     def evaluate(self, point) -> float:
-        if self.used >= self.budget:
+        if len(self.values) >= self.budget:
             raise BudgetExhaustedError(f"evaluation budget of {self.budget} exhausted")
         value = self.inner.evaluate(point)
-        self.used += 1
-        self.best_fitness = min(self.best_fitness, value)
+        self.values.append(value)
         return value
 
     def evaluate_batch(self, points) -> np.ndarray:
@@ -91,8 +90,9 @@ def run_ga_baseline(
         score_population(population, budgeted.evaluate_batch)
     except BudgetExhaustedError:
         pass
-    return RunResult(cycle_records=[], best_fitness=budgeted.best_fitness, convergence_cycle=None,
-                     acceptance_rate=None, true_evaluations_used=budgeted.used)
+    # NaN compares false, so starting the fold at inf keeps a NaN value, wherever it falls, from being the best
+    return RunResult(cycle_records=[], best_fitness=min([math.inf, *budgeted.values]), convergence_cycle=None,
+                     acceptance_rate=None, true_evaluations_used=len(budgeted.values))
 
 
 def run_random_recommender(obj: Objective, cfg: SagrsConfig, rng: np.random.Generator) -> RunResult:

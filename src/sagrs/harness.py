@@ -93,28 +93,17 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Box-plot statistics of one metric over repetitions."""
+def summarize(values) -> dict[str, float]:
+    """Box-plot statistics of one metric over repetitions, as summary.json holds them.
 
-    min: float
-    q1: float
-    median: float
-    q3: float
-    max: float
-    mean: float
-
-
-def summarize(values) -> SummaryStats:
-    """Quartiles by linear interpolation between closest ranks, plus mean."""
+    Quartiles by linear interpolation between closest ranks, plus mean.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty list")
     q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-    return SummaryStats(
-        min=float(arr.min()), q1=float(q1), median=float(median),
-        q3=float(q3), max=float(arr.max()), mean=float(arr.mean()),
-    )
+    return {"min": float(arr.min()), "q1": float(q1), "median": float(median),
+            "q3": float(q3), "max": float(arr.max()), "mean": float(arr.mean())}
 
 
 def derive_seed(base_seed: int, *parts) -> int:
@@ -173,7 +162,6 @@ class ExperimentSpec:
 class ExperimentResult:
     run_rows: list[dict]
     cycle_rows: list[dict]
-    summaries: list[dict]
     failures: list[tuple[str, str]]  # (run_id, error message)
     out_dir: Path
 
@@ -333,7 +321,7 @@ def aggregate_rows(run_rows: list[dict]) -> list[dict]:
         for metric in SUMMARY_METRICS:
             values = [row[metric] for row in groups[key] if row[metric] is not None]
             if values:
-                metrics[metric] = asdict(summarize(values))
+                metrics[metric] = summarize(values)
         entry["metrics"] = metrics
         entry["runs"] = len(groups[key])
         summaries.append(entry)
@@ -411,18 +399,15 @@ def _run_specs(specs: list[ExperimentSpec]) -> ExperimentResult:
     settings = [{k: v for k, v in asdict(spec).items() if k not in ("out_dir", "jobs")} for spec in specs]
     run_rows = [row for row, _, _ in outcomes]
     cycle_rows = [cr for _, rows, _ in outcomes for cr in rows]
-    summaries = aggregate_rows(run_rows)
     _write_csv(out_dir / "runs.csv", RUN_CSV_COLUMNS, run_rows)
     _write_csv(out_dir / "cycles.csv", CYCLE_CSV_COLUMNS, cycle_rows)
-    for name, payload in (("summary.json", summaries), ("metadata.json", _metadata(settings, blas_threads))):
+    for name, payload in (("summary.json", aggregate_rows(run_rows)),
+                          ("metadata.json", _metadata(settings, blas_threads))):
         with open(out_dir / name, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return ExperimentResult(
-        run_rows=run_rows, cycle_rows=cycle_rows, summaries=summaries,
-        failures=[(row["run_id"], err) for row, _, err in outcomes if err is not None],
-        out_dir=out_dir,
-    )
+    return ExperimentResult(run_rows=run_rows, cycle_rows=cycle_rows, out_dir=out_dir,
+                            failures=[(row["run_id"], err) for row, _, err in outcomes if err is not None])
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -456,7 +441,7 @@ class ComparisonResult:
 
     def median_best_fitness(self, system: str) -> float:
         """Median over the system's runs that finished; ValueError if none did."""
-        return summarize([f for f in self.best_fitness(system) if f is not None]).median
+        return summarize([f for f in self.best_fitness(system) if f is not None])["median"]
 
     def convergence_cycles(self, system: str) -> list[int]:
         return [row["convergence_cycle"] for row in self.rows_by_system[system]]

@@ -67,14 +67,19 @@ def test_shape_rejects_tiny_budgets():
 
 
 def test_budgeted_objective_counts_and_caps():
-    budgeted = BudgetedObjective(make_objective("bohachevsky"), budget=3)
-    for i in range(3):
-        budgeted.evaluate([float(i), 0.0])
-    assert budgeted.used == 3
+    inner = make_objective("bohachevsky")
+    budgeted = BudgetedObjective(inner, budget=3)
+    points = [[2.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    for point in points:
+        budgeted.evaluate(point)
+    assert len(budgeted.values) == 3
+    # every value paid for, in call order: the GA's best-so-far trace
+    assert budgeted.values == [inner.evaluate(p) for p in points]
     with pytest.raises(BudgetExhaustedError):
         budgeted.evaluate([9.0, 9.0])
-    assert budgeted.used == 3
-    assert budgeted.best_fitness == make_objective("bohachevsky").evaluate([0.0, 0.0])
+    assert len(budgeted.values) == 3  # a refused call appends nothing
+    assert budgeted.values == [inner.evaluate(p) for p in points]
+    assert min(budgeted.values) == inner.evaluate([0.0, 0.0])
     with pytest.raises(ValueError, match="budget must be >= 1"):
         BudgetedObjective(make_objective("bohachevsky"), budget=0)
 
@@ -125,6 +130,16 @@ def test_ga_baseline_stops_on_exhaustion_mid_generation():
     result = run_ga_baseline(obj, 9, ga=ga, rng=np.random.default_rng(0))
     assert result.true_evaluations_used == 9
     assert np.isfinite(result.best_fitness)
+
+
+def test_ga_baseline_best_is_never_a_nan_value():
+    # an objective may return NaN; a first value is the one a plain min() over the values would report
+    ackley, log = make_objective("ackley"), []
+    nan_first = recording(Objective(name="nan-first ackley", dimension=2, lower=ackley.lower, upper=ackley.upper,
+                                    fn=lambda x: ackley.fn(x) if log[1:] else np.nan), log)
+    result = run_ga_baseline(nan_first, 100, rng=np.random.default_rng(0))
+    assert result.true_evaluations_used == len(log)
+    assert result.best_fitness == min(ackley.fn(x) for x in log[1:])
 
 
 def test_ga_baseline_returns_a_cycleless_run_result():

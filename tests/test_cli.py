@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -160,8 +161,7 @@ def test_compare_preset_row_count(tmp_path):
                      "--cycles", "3", "--pool-size", "8", "--ga-pop", "10"]) == 0
     rows = read_runs_csv(tmp_path / "cmp" / "runs.csv")
     assert len(rows) == len(SYSTEMS) * 2  # systems x reps
-    assert {r["system"] for r in rows} == {"sagrs-lsm", "sagrs-rbf", "ga",
-                                           "random-lsm", "random-rbf"}
+    assert {r["system"] for r in rows} == set(SYSTEMS)
 
 
 def test_sweep_rates_preset(tmp_path):
@@ -357,3 +357,18 @@ def test_unusable_out_is_usage_error(tmp_path, capsys, command, under):
     assert err.startswith(f"usage: sagrs {command} ") and "Traceback" not in err
     assert err.count("error:") == 1 and f"cannot create output directory {out}" in err
     assert blocker.read_text() == "kept"
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    real_access = harness.os.access
+    # os.access reads True for root even on a read-only directory, so deny it here
+    monkeypatch.setattr(harness.os, "access",
+                        lambda path, mode, **kw: False if Path(path) == out else real_access(path, mode, **kw))
+    with pytest.raises(SystemExit) as excinfo:
+        run_tiny(out)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sagrs run ") and "Traceback" not in err
+    assert err.count("error:") == 1 and f"output directory {out} is not writable" in err
+    assert list(out.iterdir()) == []

@@ -7,6 +7,8 @@ import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import FrozenInstanceError, asdict, fields
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,20 +56,20 @@ def tiny_spec(out_dir, **overrides):
 
 def test_summarize_hand_ranked_quartiles():
     stats = summarize([1, 2, 3, 4, 5])
-    assert stats.q1 == 2.0
-    assert stats.median == 3.0
-    assert stats.q3 == 4.0
-    assert stats.min == 1.0 and stats.max == 5.0 and stats.mean == 3.0
+    assert stats["q1"] == 2.0
+    assert stats["median"] == 3.0
+    assert stats["q3"] == 4.0
+    assert stats["min"] == 1.0 and stats["max"] == 5.0 and stats["mean"] == 3.0
 
 
 def test_summarize_single_value():
     stats = summarize([7.5])
-    assert (stats.min, stats.q1, stats.median, stats.q3, stats.max, stats.mean) == (7.5,) * 6
+    assert (stats["min"], stats["q1"], stats["median"], stats["q3"], stats["max"], stats["mean"]) == (7.5,) * 6
 
 
 def test_summarize_constant_list():
     stats = summarize([2.0, 2.0, 2.0, 2.0])
-    assert stats.min == stats.max == stats.mean == 2.0
+    assert stats["min"] == stats["max"] == stats["mean"] == 2.0
 
 
 def test_summarize_empty_rejected():
@@ -79,7 +81,7 @@ def test_summarize_ordering_invariant():
     rng = np.random.default_rng(12)
     for _ in range(50):
         stats = summarize(rng.normal(size=int(rng.integers(1, 40))))
-        assert stats.min <= stats.q1 <= stats.median <= stats.q3 <= stats.max
+        assert stats["min"] <= stats["q1"] <= stats["median"] <= stats["q3"] <= stats["max"]
 
 
 # ------------------------------------------------------------ seeding
@@ -147,7 +149,7 @@ def test_round_trip_median_through_csv(tmp_path):
     result = run_experiment(spec)
     rows = read_runs_csv(tmp_path / "exp" / "runs.csv")
     medians = {s["system"]: s["metrics"]["best_fitness"]["median"] for s in aggregate_rows(rows)}
-    in_memory = summarize([r["best_fitness"] for r in result.run_rows]).median
+    in_memory = summarize([r["best_fitness"] for r in result.run_rows])["median"]
     assert medians["sagrs-lsm"] == in_memory
     # and the summary.json on disk agrees
     disk = json.loads((tmp_path / "exp" / "summary.json").read_text())
@@ -422,6 +424,25 @@ def test_metadata_records_library_versions(tmp_path, monkeypatch):
     assert harness._openblas_cores() == {"numpy": "unknown", "scipy": "unknown"}
 
 
+def test_openblas_lookup_skips_unloadable_and_symbolless_libraries(tmp_path, monkeypatch):
+    monkeypatch.setitem(harness._OPENBLAS, "unloadable", (SimpleNamespace(__file__=str(tmp_path / "gone.so")), ""))
+    monkeypatch.setitem(harness._OPENBLAS, "symbolless", (np.linalg._umath_linalg, "_no_such_suffix"))
+    corenames = harness._openblas("get_corename", ctypes.c_char_p)
+    assert not {"unloadable", "symbolless"} & corenames.keys()  # OSError and AttributeError, skipped
+    cores = harness._openblas_cores()
+    assert cores["unloadable"] == cores["symbolless"] == "unknown"
+    assert cores["scipy"] != "unknown"  # the other libraries are still read
+
+
+@pytest.mark.parametrize("show_config, expected", [
+    (lambda: None, "unknown"),  # numpy < 1.25 and scipy < 1.11 take no mode: TypeError
+    (lambda mode: {"Build Dependencies": {"lapack": {}}}, "unknown"),  # no blas key: KeyError
+    (lambda mode: {"Build Dependencies": {"blas": {"name": "openblas", "version": "0.3.1"}}}, "openblas 0.3.1"),
+], ids=["no-mode", "no-blas-key", "named"])
+def test_blas_reads_unknown_where_the_build_does_not_say(show_config, expected):
+    assert harness._blas(SimpleNamespace(show_config=show_config)) == expected
+
+
 def scipy_threads():
     """The thread count of scipy's OpenBLAS, None where it exports no get_num_threads; a pool can run it."""
     get_threads = harness._openblas("get_num_threads", ctypes.c_int).get("scipy")
@@ -558,6 +579,32 @@ def test_metadata_records_exclusion_epsilon(tmp_path):
         "sagrs-lsm": ([16], [8], ["reset"]), "sagrs-rbf": ([1], [8], ["no_reset"]), "ga": ([0], [8], ["reset"]),
         "random-lsm": ([0], [8], ["reset"]), "random-rbf": ([0], [8], ["reset"]),
     }
+
+
+@pytest.mark.parametrize("cpu_count, expected", [(3, 3), (None, 1)])
+def test_default_jobs_without_sched_getaffinity(monkeypatch, cpu_count, expected):
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)  # macOS and Windows have none
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpu_count)
+    assert harness.default_jobs() == expected
+
+
+@pytest.mark.parametrize("entry", ["run_experiment", "run_compare"])
+def test_unwritable_output_directory_stops_before_any_run(tmp_path, monkeypatch, entry):
+    out = tmp_path / "out"
+    real_access = os.access
+    # os.access reads True for root even on a read-only directory, so deny it here
+    monkeypatch.setattr(harness.os, "access",
+                        lambda path, mode, **kw: False if Path(path) == out else real_access(path, mode, **kw))
+    executed = []
+    monkeypatch.setattr(harness, "_execute_job", executed.append)
+    with pytest.raises(ValueError, match=f"output directory {out} is not writable"):
+        if entry == "run_experiment":
+            run_experiment(tiny_spec(out, jobs=1))
+        else:
+            run_compare("ackley", cycles=2, out_dir=out, repetitions=1, pool_size=8,
+                        ga=GaConfig(population_size=10), jobs=1)
+    assert executed == []
+    assert list(out.iterdir()) == []  # no runs.csv, nor any other artifact
 
 
 def test_env_var_sets_default_output_directory(tmp_path, monkeypatch):

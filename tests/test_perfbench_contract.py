@@ -46,3 +46,11 @@ def test_top_level_names_perfbench_reads():
 
     # ... and run.py's timed set-up makes every objective through it
     assert all(isinstance(make_objective(name), Objective) for name in sagrs.OBJECTIVE_NAMES)
+
+
+def test_recommender_reexports_the_exclusion_radius():
+    # workloads.py imports EXCLUSION_EPSILON from sagrs.recommender, which reads it nowhere itself
+    import sagrs.recommender
+    import sagrs.surrogate
+
+    assert sagrs.recommender.EXCLUSION_EPSILON is sagrs.surrogate.EXCLUSION_EPSILON

@@ -355,8 +355,7 @@ def per_point_select(pop, pool, k, model, obj, rng, rejected):
 def test_block_draws_match_per_point_reference(monkeypatch, kind):
     # A wide exclusion radius makes draws collide with earlier ones, and a
     # 4-individual population leaves at least 2 of 6 suggestions to the fill.
-    for module in (surrogate_mod, recommender_mod):
-        monkeypatch.setattr(module, "EXCLUSION_EPSILON", 3.0)
+    monkeypatch.setattr(surrogate_mod, "EXCLUSION_EPSILON", 3.0)  # every exclusion test reads it there
     obj = make_objective("ackley")
     cfg = small_config(model_kind=kind, suggestions_per_cycle=6, cycles=6, initial_pool_size=30,
                        ga=GaConfig(population_size=4))
